@@ -8,7 +8,7 @@
 //	ulmtsim [-exp all|table1..table5|fig5..fig11|ablation|sweep|faults|multicore]
 //	        [-scale tiny|small|medium|large] [-apps CG,Mcf,...] [-seed N]
 //	        [-j N] [-faults off|light|heavy|k=v,...] [-fault-seed N]
-//	        [-fastpath on|off] [-fork on|off] [-cores N] [-shards N]
+//	        [-fastpath on|off] [-cores N] [-shards N]
 //	        [-checkpoint-dir DIR] [-resume] [-run-timeout D] [-retries N]
 //	        [-cache-dir DIR] [-cache on|off] [-mem-budget MIB]
 //	        [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
@@ -27,13 +27,13 @@
 // stale entries.
 //
 // -mem-budget caps retained simulation memory — the recycled
-// correlation-table arena pool plus fork-family snapshot rings —
-// under one ledger (default 192 MiB, 0 = uncapped): pooled arenas
-// are evicted largest-first under pressure, and snapshot captures the
-// budget cannot afford are skipped (the follower then falls back to a
-// scratch run — slower, never wrong). An active budget also drops the
-// GC target to 50% unless -gcpercent overrides it, so GOGC headroom
-// does not re-inflate what the ledger squeezed out; the pointer-free
+// correlation-table arena pool and multicore mailbox growth — under
+// one ledger (default 192 MiB, 0 = uncapped): pooled arenas are
+// evicted largest-first under pressure, and an arena the budget
+// cannot hold is dropped (the next same-geometry build allocates
+// fresh — slower, never wrong). An active budget also drops the GC
+// target to 50% unless -gcpercent overrides it, so GOGC headroom does
+// not re-inflate what the ledger squeezed out; the pointer-free
 // simulation heap makes the extra GC cycles effectively free.
 //
 // With -checkpoint-dir, completed runs are persisted as they finish
@@ -65,13 +65,10 @@
 // rendered report is byte-identical at either setting; only the
 // host-side event churn and wall clock move.
 //
-// -fork=off disables fork-from-warm execution (DESIGN.md
-// "Fork-from-warm execution"): with it on (the default), run-matrix
-// keys that differ from their app's Repl run only in prefetch-side
-// parameters resume from the Repl leader's in-memory snapshots instead
-// of simulating their shared prefix again. The rendered report is
-// byte-identical at either setting; the footer's forked/scratch run
-// counts show how much simulation was shared.
+// The sweep's identity points (Sweep/NumLevels=3, Sweep/NumRows*1)
+// build exactly their app's Repl machine, so they reuse the Repl run
+// instead of simulating it again (DESIGN.md "Identical-configuration
+// aliasing"); the footer's aliased/scratch counts show the split.
 //
 // The run matrix of the requested experiments is pre-planned and
 // executed on -j parallel workers (default: GOMAXPROCS) with live
@@ -99,6 +96,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -131,7 +129,6 @@ func run() error {
 	seed := flag.Uint64("seed", 1, "page-mapping seed")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
 	fastpathFlag := flag.String("fastpath", "on", "cycle-skipping CPU fast path (on or off); off forces every cycle through the event queue (the equivalence oracle — reports are bit-identical either way)")
-	forkFlag := flag.String("fork", "on", "fork-from-warm execution (on or off); off simulates every run-matrix key from scratch (the equivalence oracle — reports are bit-identical either way)")
 	faultSpec := flag.String("faults", "off", "fault plan: off, light, heavy, or key=value list (see internal/fault)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the fault plan's pseudo-random schedule")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -149,13 +146,17 @@ func run() error {
 	intraJ := flag.Int("intra-j", 1, "intra-run workers advancing one multicore machine's time windows (1 = sequential oracle, 0 = GOMAXPROCS); reports are byte-identical at any value")
 	cacheDir := flag.String("cache-dir", "", "persist completed results and derived artifacts in a content-addressed cache under this directory; later invocations with the same parameters replay from it")
 	cacheFlag := flag.String("cache", "on", "result cache (on or off); off bypasses -cache-dir entirely (the equivalence oracle — reports are bit-identical either way)")
-	memBudget := flag.Int64("mem-budget", 192, "retained-memory budget in MiB for the arena pool and fork snapshot rings (0 = uncapped); peak heap runs about one budget above a retention-free run's baseline")
+	memBudget := flag.Int64("mem-budget", 192, "retained-memory budget in MiB for the correlation-table arena pool and multicore mailboxes (0 = uncapped); peak heap runs about one budget above a retention-free run's baseline")
 	flag.Parse()
 
+	memBudgetBytes, err := mibToBytes(*memBudget)
+	if err != nil {
+		return err
+	}
 	switch {
 	case *gcPercent >= 0:
 		debug.SetGCPercent(*gcPercent)
-	case *memBudget > 0:
+	case memBudgetBytes > 0:
 		// A retention budget says the user wants peak heap bounded, and
 		// GOGC's default 100% headroom would re-inflate whatever the
 		// ledger squeezed out. The simulation heap is deliberately
@@ -223,15 +224,6 @@ func run() error {
 	default:
 		return fmt.Errorf("ulmtsim: -fastpath must be on or off, got %q", *fastpathFlag)
 	}
-	var fork bool
-	switch *forkFlag {
-	case "on":
-		fork = true
-	case "off":
-		fork = false
-	default:
-		return fmt.Errorf("ulmtsim: -fork must be on or off, got %q", *forkFlag)
-	}
 	var cacheOn bool
 	switch *cacheFlag {
 	case "on":
@@ -242,12 +234,12 @@ func run() error {
 		return fmt.Errorf("ulmtsim: -cache must be on or off, got %q", *cacheFlag)
 	}
 	opt := experiment.Options{
-		Scale: scale, Seed: *seed, Faults: plan, NoFastPath: !fastpath, NoFork: !fork,
+		Scale: scale, Seed: *seed, Faults: plan, NoFastPath: !fastpath,
 		Resume: *resume, RunTimeout: *runTimeout, MaxRetries: *retries,
 		Jobs: *jobs, CheckpointDir: *ckptDir,
 		Cores: *cores, Shards: *shards, IntraJobs: *intraJ,
 		CacheDir: *cacheDir, NoCache: !cacheOn,
-		MemBudget: *memBudget << 20,
+		MemBudget: memBudgetBytes,
 	}
 	if plan != nil {
 		opt.FaultTag = *faultSpec
@@ -345,11 +337,11 @@ func run() error {
 		cacheHits, cacheMisses, cacheStale = c.Hits(), c.Misses(), c.Stale()
 		cacheNote = fmt.Sprintf(", cache hits %d, misses %d, stale %d", cacheHits, cacheMisses, cacheStale)
 	}
-	fmt.Printf("# host: peak heap %.1f MiB, GC cycles %d, GC pause %s, wall %s, events %s (%s/s), runs retried %d, failed %d, forked %d, scratch %d, snapshot ring %.1f MiB%s\n",
+	fmt.Printf("# host: peak heap %.1f MiB, GC cycles %d, GC pause %s, wall %s, events %s (%s/s), runs retried %d, failed %d, aliased %d, scratch %d%s\n",
 		float64(m.peakHeap)/(1<<20), m.gcCycles,
 		time.Duration(m.gcPauseNs).Round(time.Microsecond), wall.Round(time.Millisecond),
 		humanCount(events), rate, r.Retried(), r.Failed(),
-		r.ForkedRuns(), r.ScratchRuns(), float64(r.SnapshotRingBytes())/(1<<20), cacheNote)
+		r.ForkedRuns(), r.ScratchRuns(), cacheNote)
 
 	if *benchJSON != "" {
 		b, err := json.MarshalIndent(benchRecord{
@@ -364,22 +356,20 @@ func run() error {
 			HostVCPUs:  runtime.NumCPU(),
 			// Planned matrix keys, or (for experiments that simulate
 			// at render time, like multicore) the runs computed.
-			Runs:              max(len(keys), int(r.RunsComputed())),
-			WallSeconds:       wall.Seconds(),
-			PeakHeapMiB:       float64(m.peakHeap) / (1 << 20),
-			GCCycles:          m.gcCycles,
-			GCPauseMs:         float64(m.gcPauseNs) / 1e6,
-			EventsFired:       events,
-			Fastpath:          fastpath,
-			Fork:              fork,
-			ForkedRuns:        r.ForkedRuns(),
-			ScratchRuns:       r.ScratchRuns(),
-			SnapshotRingBytes: r.SnapshotRingBytes(),
-			Cache:             r.Cache() != nil,
-			CacheHits:         cacheHits,
-			CacheMisses:       cacheMisses,
-			CacheStale:        cacheStale,
-			ReportSHA256:      fmt.Sprintf("%x", sum.Sum(nil)),
+			Runs:         max(len(keys), int(r.RunsComputed())),
+			WallSeconds:  wall.Seconds(),
+			PeakHeapMiB:  float64(m.peakHeap) / (1 << 20),
+			GCCycles:     m.gcCycles,
+			GCPauseMs:    float64(m.gcPauseNs) / 1e6,
+			EventsFired:  events,
+			Fastpath:     fastpath,
+			AliasedRuns:  r.ForkedRuns(),
+			ScratchRuns:  r.ScratchRuns(),
+			Cache:        r.Cache() != nil,
+			CacheHits:    cacheHits,
+			CacheMisses:  cacheMisses,
+			CacheStale:   cacheStale,
+			ReportSHA256: fmt.Sprintf("%x", sum.Sum(nil)),
 		}, "", "  ")
 		if err != nil {
 			return fmt.Errorf("ulmtsim: -bench-json: %w", err)
@@ -394,29 +384,39 @@ func run() error {
 // benchRecord is the machine-readable summary -bench-json emits; the
 // BENCH_ulmt.json trajectory file at the repo root collects these.
 type benchRecord struct {
-	Exp               string  `json:"exp"`
-	Scale             string  `json:"scale"`
-	Seed              uint64  `json:"seed"`
-	Jobs              int     `json:"jobs"`
-	IntraJ            int     `json:"intra_j"`
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	HostVCPUs         int     `json:"host_vcpus"`
-	Runs              int     `json:"runs"`
-	WallSeconds       float64 `json:"wall_seconds"`
-	PeakHeapMiB       float64 `json:"peak_heap_mib"`
-	GCCycles          uint32  `json:"gc_cycles"`
-	GCPauseMs         float64 `json:"gc_pause_ms"`
-	EventsFired       uint64  `json:"events_fired"`
-	Fastpath          bool    `json:"fastpath"`
-	Fork              bool    `json:"fork"`
-	ForkedRuns        uint64  `json:"forked_runs"`
-	ScratchRuns       uint64  `json:"scratch_runs"`
-	SnapshotRingBytes uint64  `json:"snapshot_ring_bytes"`
-	Cache             bool    `json:"cache"`
-	CacheHits         uint64  `json:"cache_hits"`
-	CacheMisses       uint64  `json:"cache_misses"`
-	CacheStale        uint64  `json:"cache_stale"`
-	ReportSHA256      string  `json:"report_sha256"`
+	Exp          string  `json:"exp"`
+	Scale        string  `json:"scale"`
+	Seed         uint64  `json:"seed"`
+	Jobs         int     `json:"jobs"`
+	IntraJ       int     `json:"intra_j"`
+	GOMAXPROCS   int     `json:"gomaxprocs"`
+	HostVCPUs    int     `json:"host_vcpus"`
+	Runs         int     `json:"runs"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	PeakHeapMiB  float64 `json:"peak_heap_mib"`
+	GCCycles     uint32  `json:"gc_cycles"`
+	GCPauseMs    float64 `json:"gc_pause_ms"`
+	EventsFired  uint64  `json:"events_fired"`
+	Fastpath     bool    `json:"fastpath"`
+	AliasedRuns  uint64  `json:"aliased_runs"`
+	ScratchRuns  uint64  `json:"scratch_runs"`
+	Cache        bool    `json:"cache"`
+	CacheHits    uint64  `json:"cache_hits"`
+	CacheMisses  uint64  `json:"cache_misses"`
+	CacheStale   uint64  `json:"cache_stale"`
+	ReportSHA256 string  `json:"report_sha256"`
+}
+
+// mibToBytes converts the -mem-budget flag from MiB to bytes. A value
+// past the largest whole MiB count an int64 byte total can hold is
+// rejected in MiB, as given: shifting it would wrap (2^44 MiB becomes
+// 0, an uncapped budget).
+func mibToBytes(mib int64) (int64, error) {
+	const maxMiB = math.MaxInt64 >> 20
+	if mib < 0 || mib > maxMiB {
+		return 0, fmt.Errorf("ulmtsim: -mem-budget must be between 0 and %d MiB, got %d", maxMiB, mib)
+	}
+	return mib << 20, nil
 }
 
 // humanCount renders an event count compactly (1234567890 -> "1.23G")

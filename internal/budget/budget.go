@@ -1,15 +1,14 @@
 // Package budget provides a shared retained-memory ledger. The
-// experiment runner's two big retention pools — the successor-arena
-// free list in internal/table and the fork snapshot rings in
-// internal/core — each bought wall-clock speed by holding onto
-// hundreds of megabytes between simulations; unbounded, their sum
-// tripled the process's peak heap. A Ledger gives them one joint
-// allowance: every retained byte is reserved against it, reservations
-// that do not fit trigger the registered reclaimers (which evict
-// largest-first), and a reservation that still does not fit is simply
-// declined — the caller falls back to not retaining (a fresh
-// allocation, a skipped snapshot), which is always correct, only
-// slower.
+// successor-arena free list in internal/table buys wall-clock speed
+// by holding onto hundreds of megabytes between simulations, and
+// multicore machines grow per-core mailbox buffers in parallel mode.
+// A Ledger gives them one joint allowance: every retained byte is
+// reserved against it, reservations that do not fit trigger the
+// registered reclaimers (which evict largest-first), and a
+// reservation that still does not fit is simply declined — the caller
+// falls back to not retaining (a fresh allocation), which is always
+// correct, only slower. Mandatory growth (the mailboxes) is recorded
+// with MustReserve, which squeezes the optional retention around it.
 package budget
 
 import "sync"
@@ -69,7 +68,7 @@ func (l *Ledger) tryReserve(n int64) bool {
 // Reserve attempts to reserve n bytes, invoking reclaimers if the
 // ledger is full. It reports whether the reservation was granted; a
 // false return reserves nothing and the caller must degrade (drop the
-// buffer, skip the snapshot) rather than retain.
+// buffer) rather than retain.
 func (l *Ledger) Reserve(n int64) bool {
 	if l == nil || n <= 0 {
 		return true

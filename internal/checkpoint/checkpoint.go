@@ -185,13 +185,6 @@ type Writer struct {
 // NewWriter returns an empty payload writer.
 func NewWriter() *Writer { return &Writer{buf: make([]byte, 0, 1<<16)} }
 
-// NewWriterInto returns a payload writer that reuses buf's storage
-// (length reset to zero, capacity kept). The in-memory snapshot ring
-// of fork-from-warm execution recycles its slot buffers through this,
-// so steady-state snapshots are memmoves into already-sized memory —
-// no file envelope, no fresh allocations.
-func NewWriterInto(buf []byte) *Writer { return &Writer{buf: buf[:0]} }
-
 // Bytes returns the accumulated payload.
 func (w *Writer) Bytes() []byte { return w.buf }
 

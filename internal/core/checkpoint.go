@@ -113,16 +113,6 @@ func (s *System) RunControlled(app string, ops []workload.Op, ctl *RunControl) (
 }
 
 func (s *System) runLoop(app string, ctl *RunControl) (Results, RunOutcome) {
-	if s.fork != nil && s.checkpointReady() {
-		// Genesis capture: a just-started machine is quiescent before
-		// its first step (one pending event — the processor's step —
-		// and nothing in flight). Recording it anchors the snapshot
-		// ring at log length zero, so even a follower that diverges on
-		// the very first decision record can fork instead of falling
-		// back to scratch. Thinning keeps the earliest of each pair,
-		// so this anchor survives for the whole run.
-		s.fork.capture(s)
-	}
 	if ctl == nil {
 		s.eng.Run()
 		return s.results(app), RunFinished
@@ -144,26 +134,6 @@ func (s *System) runLoop(app string, ctl *RunControl) (Results, RunOutcome) {
 				return s.results(app), RunFinished
 			}
 		default:
-			if s.fork != nil && s.fork.wantSnapshot(s.eng.Fired()) {
-				// A fork-recording leader is due for a snapshot: step
-				// singly until the next quiescent point and capture
-				// there. The steps are the same steps the batch loop
-				// would take — capture is passive — so the run's own
-				// event order and results are untouched. If no
-				// quiescent point shows up within a batch, control is
-				// re-polled and the search resumes (nextSnapAt only
-				// advances on capture).
-				for i := 0; i < pollBatch; i++ {
-					if s.checkpointReady() {
-						s.fork.capture(s)
-						break
-					}
-					if !s.eng.Step() {
-						return s.results(app), RunFinished
-					}
-				}
-				continue
-			}
 			for i := 0; i < pollBatch; i++ {
 				if !s.eng.Step() {
 					return s.results(app), RunFinished
@@ -218,12 +188,6 @@ func (s *System) ResumePayload(app string, ops []workload.Op, payload []byte, ct
 	if s.proc != nil {
 		return Results{}, RunAborted, fmt.Errorf("core: resume into an already-started system")
 	}
-	return s.resumePayload(app, ops, payload, ctl)
-}
-
-// resumePayload is the shared resume body behind ResumePayload and
-// ResumePayloadFork; callers have already validated the configuration.
-func (s *System) resumePayload(app string, ops []workload.Op, payload []byte, ctl *RunControl) (Results, RunOutcome, error) {
 	r := checkpoint.NewReader(payload)
 	r.Tag("system")
 	now := sim.Cycle(r.I64())
@@ -352,25 +316,8 @@ func (s *System) restoreCore(r *checkpoint.Reader) {
 	s.q1.Restore(r)
 	s.q2.Restore(r)
 	s.q3.Restore(r)
-	// Fork splice points: a forked follower whose Filter or algorithm
-	// is configured differently from the leader parses the payload's
-	// bytes into a leader-shaped throwaway (keeping the reader in sync)
-	// while the machine retains its own instance — the Filter rebuilt
-	// by replaying the pre-divergence admission stream, the algorithm
-	// pre-replayed by the caller. Plain resumes take the direct path.
-	if sp := s.forkSplice; sp != nil && sp.DiscardFilter != nil {
-		sp.DiscardFilter.Restore(r)
-		for _, l := range sp.FilterReplay {
-			s.filter.Admit(l)
-		}
-	} else {
-		s.filter.Restore(r)
-	}
-	if sp := s.forkSplice; sp != nil && sp.DiscardULMT != nil {
-		prefetch.RestoreAlg(r, sp.DiscardULMT)
-	} else {
-		prefetch.RestoreAlg(r, s.ulmt)
-	}
+	s.filter.Restore(r)
+	prefetch.RestoreAlg(r, s.ulmt)
 	hasConven := r.Bool()
 	if hasConven != (s.cfg.Conven != nil) && r.Err() == nil {
 		r.Failf("processor-side prefetcher presence %v, configured %v", hasConven, s.cfg.Conven != nil)

@@ -5,10 +5,8 @@ import (
 	"ulmt/internal/cache"
 	"ulmt/internal/cpu"
 	"ulmt/internal/mem"
-	"ulmt/internal/prefetch"
 	"ulmt/internal/queue"
 	"ulmt/internal/sim"
-	"ulmt/internal/table"
 )
 
 // arriveController deposits a miss request at the memory controller:
@@ -51,9 +49,6 @@ func (s *System) arriveController(pm *l2Miss) {
 		} else if _, ok := s.q3.RemoveLine(pm.line); ok {
 			matchedQ3 = true
 			s.xMatchDemand++
-			if s.fork != nil {
-				s.fork.add(ForkRecord{Kind: RecXMatch, Line: pm.line})
-			}
 		}
 	}
 
@@ -265,11 +260,6 @@ func (s *System) pushAtController(line mem.Line) {
 // pushArrivesAtL2 applies the paper's §2.1 acceptance rules.
 func (s *System) pushArrivesAtL2(line mem.Line) {
 	s.pushesToL2++
-	if s.fork != nil {
-		// The L2 boundary is where DropPushes first acts; a follower
-		// with that ablation diverges at this record.
-		s.fork.add(ForkRecord{Kind: RecPush, Line: line})
-	}
 	if s.cfg.DropPushes {
 		s.outcomes.Redundant++
 		return
@@ -336,22 +326,7 @@ func (s *System) pumpULMT() {
 	// nothing.
 	s.ulmtObs = e.Line
 	s.ulmtEmits = s.ulmtEmits[:0]
-	if f := s.fork; f != nil {
-		// Fork-recording leader: tee the session's cost stream into the
-		// decision hash and log (obs, hash). The real session sees the
-		// identical Touch/Instr sequence; only the dispatch goes through
-		// the tables' generic sink path. This branch runs on leader runs
-		// only, so the per-session closure is off the common hot path.
-		f.trace.Reset()
-		prefetch.RunSession(s.ulmt, s.cfg.LearnFirst, e.Line,
-			table.TeeSink{A: ses, B: &f.trace}, s.collectULMT,
-			func() { ses.MarkResponse(); f.trace.Mark() })
-		for _, l := range s.ulmtEmits {
-			f.trace.Emit(l)
-		}
-		h1, h2 := f.trace.Sum()
-		f.add(ForkRecord{Kind: RecSession, Line: e.Line, H1: h1, H2: h2})
-	} else if s.cfg.LearnFirst {
+	if s.cfg.LearnFirst {
 		// Ablation: naive ordering. Response spans both steps.
 		s.ulmt.Learn(e.Line, ses)
 		s.ulmt.Prefetch(e.Line, ses, s.collectULMT)
@@ -390,13 +365,7 @@ func (s *System) pumpULMT() {
 // module, the fault layer, and the queue-3 admission path.
 func (s *System) depositPrefetches(lines []mem.Line) {
 	for _, l := range lines {
-		if f := s.fork; f != nil {
-			ok := s.filter.Admit(l)
-			f.add(ForkRecord{Kind: RecFilter, Line: l, Admit: ok})
-			if !ok {
-				continue
-			}
-		} else if !s.filter.Admit(l) {
+		if !s.filter.Admit(l) {
 			continue
 		}
 		if s.faults != nil {
@@ -488,9 +457,6 @@ func (s *System) enqueuePrefetch(l mem.Line) {
 		if s.q1.ContainsLine(l) || s.q2.ContainsLine(l) {
 			s.q2.RemoveLine(l)
 			s.xMatchPush++
-			if s.fork != nil {
-				s.fork.add(ForkRecord{Kind: RecXMatch, Line: l})
-			}
 			return
 		}
 	}

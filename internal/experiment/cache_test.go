@@ -23,7 +23,7 @@ func openTestCache(t *testing.T, dir string, opt Options) *Cache {
 // renderCached produces the full report byte stream through a cache,
 // returning the runner so callers can inspect its counters. jobs == 1
 // follows the serial path (no pool); jobs > 1 pre-executes the
-// planned matrix on the DAG scheduler.
+// planned matrix on the worker pool.
 func renderCached(t *testing.T, opt Options, jobs int, dir string) ([]byte, *Runner) {
 	t.Helper()
 	r := NewRunner(opt)
@@ -44,62 +44,53 @@ func renderCached(t *testing.T, opt Options, jobs int, dir string) ([]byte, *Run
 }
 
 // TestCacheWarmEquivalence is the headline guarantee of the run
-// cache: across worker counts and fork modes, a cold cached
-// invocation renders byte-identically to the uncached oracle, and a
-// warm invocation renders the same bytes again while computing zero
-// simulations — even when the warm invocation uses a different
-// execution strategy (fork mode flipped) than the one that filled the
-// cache, since entries are keyed by what a run IS, not how it was
-// produced.
+// cache: across worker counts, a cold cached invocation renders
+// byte-identically to the uncached oracle, and a warm invocation
+// renders the same bytes again while computing zero simulations —
+// even when the warm invocation uses a different worker count than
+// the one that filled the cache, since entries are keyed by what a
+// run IS, not how it was produced.
 func TestCacheWarmEquivalence(t *testing.T) {
 	want := renderAt(t, equivOptions(nil), 1) // the no-cache oracle
 	if len(want) == 0 {
 		t.Fatal("oracle render produced no output")
 	}
-	for _, jobs := range []int{1, 4} {
-		for _, nofork := range []bool{false, true} {
-			name := map[bool]string{false: "ForkOn", true: "ForkOff"}[nofork]
-			if jobs == 1 {
-				name += "Serial"
-			} else {
-				name += "J4"
+	for _, tc := range []struct {
+		name               string
+		coldJobs, warmJobs int
+	}{
+		{"Serial", 1, 1},
+		{"J4", 4, 4},
+		{"SerialWarmJ4", 1, 4},
+		{"J4WarmSerial", 4, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cold, coldR := renderCached(t, equivOptions(nil), tc.coldJobs, dir)
+			if !bytes.Equal(cold, want) {
+				t.Fatalf("cold cached output differs from oracle: %s", firstDiff(want, cold))
 			}
-			t.Run(name, func(t *testing.T) {
-				dir := t.TempDir()
-				opt := equivOptions(nil)
-				opt.NoFork = nofork
-				cold, coldR := renderCached(t, opt, jobs, dir)
-				if !bytes.Equal(cold, want) {
-					t.Fatalf("cold cached output differs from oracle: %s", firstDiff(want, cold))
-				}
-				if h := coldR.cache.Hits(); h != 0 {
-					t.Errorf("cold run reported %d cache hits in an empty directory", h)
-				}
-				if coldR.cache.Misses() == 0 {
-					t.Error("cold run reported no cache misses")
-				}
+			if h := coldR.cache.Hits(); h != 0 {
+				t.Errorf("cold run reported %d cache hits in an empty directory", h)
+			}
+			if coldR.cache.Misses() == 0 {
+				t.Error("cold run reported no cache misses")
+			}
 
-				// Warm replay under the OPPOSITE fork mode.
-				wopt := equivOptions(nil)
-				wopt.NoFork = !nofork
-				warm, warmR := renderCached(t, wopt, jobs, dir)
-				if !bytes.Equal(warm, want) {
-					t.Fatalf("warm cached output differs from oracle: %s", firstDiff(want, warm))
-				}
-				if n := warmR.RunsComputed(); n != 0 {
-					t.Errorf("warm run computed %d simulations, want 0", n)
-				}
-				if n := warmR.ForkedRuns(); n != 0 {
-					t.Errorf("warm run forked %d runs, want 0 (cache precedes fork)", n)
-				}
-				if m := warmR.cache.Misses(); m != 0 {
-					t.Errorf("warm run reported %d cache misses, want 0", m)
-				}
-				if warmR.cache.Hits() == 0 {
-					t.Error("warm run reported no cache hits")
-				}
-			})
-		}
+			warm, warmR := renderCached(t, equivOptions(nil), tc.warmJobs, dir)
+			if !bytes.Equal(warm, want) {
+				t.Fatalf("warm cached output differs from oracle: %s", firstDiff(want, warm))
+			}
+			if n := warmR.RunsComputed(); n != 0 {
+				t.Errorf("warm run computed %d simulations, want 0", n)
+			}
+			if m := warmR.cache.Misses(); m != 0 {
+				t.Errorf("warm run reported %d cache misses, want 0", m)
+			}
+			if warmR.cache.Hits() == 0 {
+				t.Error("warm run reported no cache hits")
+			}
+		})
 	}
 }
 
@@ -197,51 +188,6 @@ func TestCacheCorruptEntry(t *testing.T) {
 	}
 	if r2.RunsComputed() != 1 {
 		t.Errorf("corrupt entry not recomputed: %d runs", r2.RunsComputed())
-	}
-}
-
-// TestBuildDAG pins the scheduling graph ExecuteAll derives: fork
-// followers are blocked by exactly their family leader, leaders and
-// independent runs are free, and with -fork off the graph is empty
-// (flat fan-out).
-func TestBuildDAG(t *testing.T) {
-	opt := equivOptions(nil)
-	r := NewRunner(opt)
-	keys := r.PlanRuns(equivExperiments())
-	r.planFork(keys)
-	blockedBy, dependents := r.buildDAG(keys)
-
-	nFollowers := 0
-	for _, k := range keys {
-		class := forkFamilyOf(k.Label)
-		leader := RunKey{App: k.App, Label: CfgRepl}
-		if class != forkNone && k != leader {
-			nFollowers++
-			if blockedBy[k] != 1 {
-				t.Errorf("follower %+v blockedBy = %d, want 1", k, blockedBy[k])
-			}
-			found := false
-			for _, d := range dependents[leader] {
-				if d == k {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("follower %+v missing from its leader's dependents", k)
-			}
-		} else if blockedBy[k] != 0 {
-			t.Errorf("non-follower %+v blockedBy = %d, want 0", k, blockedBy[k])
-		}
-	}
-	if nFollowers == 0 {
-		t.Fatal("plan produced no fork followers; DAG test is vacuous")
-	}
-
-	r2 := NewRunner(Options{Scale: opt.Scale, Apps: opt.Apps, Seed: opt.Seed, NoFork: true})
-	r2.planFork(keys)
-	b2, d2 := r2.buildDAG(keys)
-	if len(b2) != 0 || len(d2) != 0 {
-		t.Errorf("NoFork DAG not empty: %d blocked, %d dependency lists", len(b2), len(d2))
 	}
 }
 

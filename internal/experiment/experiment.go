@@ -63,11 +63,6 @@ type Options struct {
 	// every run (the -fastpath=off oracle). Reports are bit-identical
 	// either way; only wall clock and event counts move.
 	NoFastPath bool
-	// NoFork disables fork-from-warm execution for every run (the
-	// -fork=off oracle): every configuration simulates from scratch.
-	// Reports are bit-identical either way; only wall clock and the
-	// forked/scratch run counts move.
-	NoFork bool
 
 	// Resume, with a Store attached, reuses completed results and
 	// mid-flight checkpoints found in the checkpoint directory instead
@@ -116,7 +111,7 @@ type Options struct {
 	// or written. Reports are bit-identical either way.
 	NoCache bool
 	// MemBudget caps retained simulation memory — the recycled
-	// successor-arena pool plus fork-family snapshot rings — in bytes
+	// successor-arena pool and multicore mailbox growth — in bytes
 	// (the -mem-budget flag; 0 disables the cap).
 	MemBudget int64
 }
@@ -131,7 +126,8 @@ func (o Options) apps() []string {
 // Validate reports the first error in the options: an application
 // name outside the workload registry (with the valid names listed),
 // an out-of-range scale, a worker count below 1, a resume request
-// with nowhere to resume from, or a negative core/shard count.
+// with nowhere to resume from, or a negative count, duration or
+// budget.
 // Runner methods assume validated options; cmd/ulmtsim calls this
 // before building a Runner so a bad flag exits with a clear message
 // instead of being silently defaulted or panicking mid-experiment.
@@ -150,6 +146,12 @@ func (o Options) Validate() error {
 	}
 	if o.Resume && o.CheckpointDir == "" {
 		return fmt.Errorf("experiment: -resume needs -checkpoint-dir")
+	}
+	if o.MaxRetries < 0 {
+		return fmt.Errorf("experiment: -retries must be >= 0, got %d", o.MaxRetries)
+	}
+	if o.RunTimeout < 0 {
+		return fmt.Errorf("experiment: -run-timeout must be >= 0, got %s", o.RunTimeout)
 	}
 	if o.Cores < 0 {
 		return fmt.Errorf("experiment: -cores must be >= 0, got %d", o.Cores)
@@ -212,9 +214,9 @@ type Runner struct {
 	// cache, when attached, serves completed runs and derived
 	// artifacts across invocations (cache.go) and records new ones.
 	cache *Cache
-	// ledger, when non-nil, is the retained-memory budget every
-	// fork-family snapshot ring reserves against; the successor-arena
-	// pool shares it via table.SetArenaBudget.
+	// ledger, when non-nil, is the retained-memory budget: the
+	// successor-arena pool reserves against it (table.SetArenaBudget)
+	// and multicore machines charge mailbox growth to it.
 	ledger *budget.Ledger
 
 	// active registers in-flight simulations so Interrupt can stop
@@ -233,19 +235,9 @@ type Runner struct {
 	retried     atomic.Uint64
 	failed      atomic.Uint64
 
-	// fork is the fork-family structure of the planned run set
-	// (fork.go), built by ExecuteAll before its workers start; nil
-	// means every run computes from scratch. forkedRuns counts
-	// followers served from a leader's warm state; snapRingPeak is
-	// the largest snapshot-ring payload total any leader held.
-	fork         *forkPlan
-	forkedRuns   atomic.Uint64
-	snapRingPeak atomic.Uint64
-
-	// forkTune, when set (tests only), adjusts each leader recorder's
-	// bounds before its run, so tests can force tiny logs and dense
-	// snapshot rings.
-	forkTune func(*core.ForkRecorder)
+	// aliased counts identity-alias keys served from their app's
+	// Repl run instead of simulating (heal.go).
+	aliased atomic.Uint64
 
 	// testHook, when set (tests only), runs at the top of every
 	// attempt's panic-isolation scope, so tests can inject failures.
@@ -254,9 +246,8 @@ type Runner struct {
 
 // NewRunner builds an empty cache of experiment state. A positive
 // Options.MemBudget installs a process-wide retained-memory ledger:
-// the successor-arena pool and every fork snapshot ring reserve
-// against it, with pooled arenas evicted largest-first under
-// pressure.
+// the successor-arena pool reserves against it, with pooled arenas
+// evicted largest-first under pressure.
 func NewRunner(opt Options) *Runner {
 	r := &Runner{
 		opt:    opt,
@@ -301,24 +292,23 @@ func (r *Runner) RunsComputed() uint64 { return r.computed.Load() }
 // snapshot).
 func (r *Runner) EventsFired() uint64 { return r.eventsFired.Load() }
 
-// ForkedRuns reports how many runs were served from a fork-family
-// leader's warm state instead of simulating from scratch (including
-// the degenerate identical-configuration forks). ScratchRuns is the
-// complement: simulations executed from cycle zero — the same count
-// RunsComputed reports.
-func (r *Runner) ForkedRuns() uint64  { return r.forkedRuns.Load() }
+// ForkedRuns reports how many identity-alias keys were served from
+// their app's Repl run instead of simulating (see aliasOf).
+// ScratchRuns is the complement: simulations executed from cycle
+// zero — the same count RunsComputed reports.
+func (r *Runner) ForkedRuns() uint64  { return r.aliased.Load() }
 func (r *Runner) ScratchRuns() uint64 { return r.computed.Load() }
 
-// SnapshotRingBytes reports the largest in-memory snapshot-ring
-// payload total any fork leader held, the -fork machinery's memory
-// high-water mark.
-func (r *Runner) SnapshotRingBytes() uint64 { return r.snapRingPeak.Load() }
+// SnapshotRingBytes always reports 0: runs no longer keep in-memory
+// snapshot rings. It is kept only for the benchmark harness, which
+// still reads it.
+func (r *Runner) SnapshotRingBytes() uint64 { return 0 }
 
 // Ops returns (generating once) the op stream of an application.
 // Streams are baseline live memory — the memo holds each for the
 // whole invocation — so they are deliberately outside the -mem-budget
 // ledger, which caps only memory retained *beyond* what a budgetless
-// run would hold (pooled arenas, snapshot rings).
+// run would hold (pooled arenas).
 func (r *Runner) Ops(app string) []workload.Op {
 	return r.ops.get(app, func() []workload.Op {
 		w, err := workload.ByName(app)
@@ -458,8 +448,8 @@ func (r *Runner) BuildConfig(app, label string) core.Config {
 
 // Run simulates (once) application app under the labeled
 // configuration. Concurrent callers of the same (app, label) pair —
-// or of label pairs that build identical configurations (see
-// canonicalKey) — share one simulation. Renderers call Run only for
+// or of an identity alias and its app's Repl run (see aliasOf) —
+// share one simulation. Renderers call Run only for
 // keys ExecuteAll already completed; a run that failed its retry
 // budget or was interrupted panics here with the stored cause, which
 // cmd/ulmtsim never reaches because it skips rendering when

@@ -76,20 +76,45 @@ func (r *Runner) unregister(k RunKey) {
 	r.mu.Unlock()
 }
 
-// outcome returns the memoized outcome for a key, computing it (with
-// forking and healing) on first use.
-func (r *Runner) outcome(k RunKey) simOutcome {
-	return r.runs.get(k, func() simOutcome { return r.compute(k) })
+// aliasOf maps a key whose label builds exactly its app's Repl
+// machine to that Repl key. table.ReplParams defaults NumLevels to 3
+// and the *1 row factor is the sized row count unchanged, so both
+// sweep identity points are the Repl run under another name — see
+// TestSweepAliasIdentity.
+func aliasOf(k RunKey) (RunKey, bool) {
+	switch k.Label {
+	case SweepLevelsLabel(3), SweepRowsLabel("*1"):
+		return RunKey{App: k.App, Label: CfgRepl}, true
+	}
+	return k, false
 }
 
-// compute runs one simulation with resume, fork, retry and
-// persistence around it. It runs at most once per key (single-flight
-// memo) and its attempts are strictly sequential.
+// outcome returns the memoized outcome for a key, computing it (with
+// healing) on first use. An identity alias resolves through its Repl
+// key's memo entry, so an alias and its Repl key cost one simulation
+// whichever is asked for first.
+func (r *Runner) outcome(k RunKey) simOutcome {
+	return r.runs.get(k, func() simOutcome {
+		lk, ok := aliasOf(k)
+		if !ok {
+			return r.compute(k)
+		}
+		out := r.outcome(lk)
+		if out.err == nil {
+			out.res.Label = k.Label
+			r.aliased.Add(1)
+		}
+		return out
+	})
+}
+
+// compute runs one simulation with resume, retry and persistence
+// around it. It runs at most once per key (single-flight memo) and its
+// attempts are strictly sequential.
 func (r *Runner) compute(k RunKey) simOutcome {
-	// The persistent cache is consulted before any execution strategy:
-	// a hit replays the exact Results a previous invocation computed
-	// (same behavior version, same Options fingerprint), so neither
-	// fork machinery nor a simulation is touched.
+	// The persistent cache is consulted first: a hit replays the exact
+	// Results a previous invocation computed (same behavior version,
+	// same Options fingerprint), so no simulation is touched.
 	if r.cache != nil {
 		if res, ok := r.cache.LoadRun(k); ok {
 			return simOutcome{res: res}
@@ -105,21 +130,6 @@ func (r *Runner) compute(k RunKey) simOutcome {
 			// A corrupt result file is re-run, not rendered.
 			fmt.Fprintf(os.Stderr, "ulmtsim: discarding %v; re-running\n", err)
 		}
-	}
-	// A planned fork follower first tries to continue from its
-	// leader's warm state (fork.go); any unmet precondition falls
-	// through to the scratch path below.
-	if out, ok := r.computeForked(k); ok {
-		if out.err == nil {
-			r.saveToCache(k, out.res)
-			if r.store != nil {
-				if serr := r.store.SaveResult(k, out.res); serr != nil {
-					fmt.Fprintf(os.Stderr, "ulmtsim: persisting %s/%s: %v\n", k.App, k.Label, serr)
-				}
-				r.store.RemoveCheckpoint(k)
-			}
-		}
-		return out
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -153,8 +163,8 @@ func (r *Runner) compute(k RunKey) simOutcome {
 }
 
 // saveToCache records a completed result in the persistent cache (a
-// no-op without one). Called on every success path — scratch, forked,
-// and store-resumed — so a cache attached mid-way through a matrix's
+// no-op without one). Called on every success path — scratch and
+// store-resumed — so a cache attached mid-way through a matrix's
 // history still converges to fully warm.
 func (r *Runner) saveToCache(k RunKey, res core.Results) {
 	if r.cache != nil {
@@ -200,15 +210,11 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 	}
 
 	var out core.RunOutcome
-	var rec *core.ForkRecorder
 	ckptPath := ""
 	if checkpointable {
 		ckptPath = r.store.CheckpointPath(k)
 	}
 	if checkpointable && r.opt.Resume && r.store.HasCheckpoint(k) {
-		// A run resumed mid-flight cannot fork-record: its decision
-		// log would start mid-run, and followers replay from record
-		// zero. Followers of this leader fall back to scratch.
 		var rerr error
 		res, out, rerr = sys.ResumeCheckpoint(k.App, ops, ckptPath, r.store.Fingerprint(), ctl)
 		if rerr != nil {
@@ -221,11 +227,9 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 			if sys, err = core.NewSystem(cfg); err != nil {
 				return core.Results{}, err
 			}
-			rec = r.newForkRecorder(k, sys)
 			res, out = sys.RunControlled(k.App, ops, ctl)
 		}
 	} else {
-		rec = r.newForkRecorder(k, sys)
 		res, out = sys.RunControlled(k.App, ops, ctl)
 	}
 
@@ -234,7 +238,6 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 		res.Label = k.Label
 		r.computed.Add(1)
 		r.eventsFired.Add(res.EventsFired)
-		r.publishForkTrace(k, rec)
 		return res, nil
 	case core.RunCheckpointed:
 		if werr := sys.WriteCheckpoint(ckptPath, r.store.Fingerprint()); werr != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"ulmt/internal/fault"
 	"ulmt/internal/workload"
@@ -104,16 +105,16 @@ func TestPlanCoversRender(t *testing.T) {
 	if err := r.ExecuteAll(nil, keys, 4, nil); err != nil {
 		t.Fatalf("ExecuteAll: %v", err)
 	}
-	// Every planned key is either simulated from scratch or served
-	// from a fork-family leader's warm state (fork.go); nothing is
-	// skipped and nothing runs twice. The identity aliases
-	// (Sweep/NumLevels=3, Sweep/NumRows*1) fork at minimum.
+	// Every planned key is either simulated or an identity alias
+	// served from its app's Repl run (aliasOf); nothing is skipped and
+	// nothing runs twice. The plan holds exactly two aliases on each
+	// sweep app (Sweep/NumLevels=3, Sweep/NumRows*1).
 	planned := r.RunsComputed()
 	if planned+r.ForkedRuns() != uint64(len(keys)) {
-		t.Fatalf("executed %d + forked %d runs != %d planned keys", planned, r.ForkedRuns(), len(keys))
+		t.Fatalf("computed %d + aliased %d runs != %d planned keys", planned, r.ForkedRuns(), len(keys))
 	}
-	if r.ForkedRuns() < 4 {
-		t.Errorf("forked %d runs, want >= 4 (two identity aliases on each sweep app)", r.ForkedRuns())
+	if r.ForkedRuns() != 4 {
+		t.Errorf("aliased %d runs, want 4 (two identity aliases on each sweep app)", r.ForkedRuns())
 	}
 	for _, exp := range exps {
 		if err := r.Render(io.Discard, exp); err != nil {
@@ -283,5 +284,11 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := (Options{Jobs: 1, Shards: -1}).Validate(); err == nil {
 		t.Error("negative shard count accepted")
+	}
+	if err := (Options{Jobs: 1, MaxRetries: -5}).Validate(); err == nil {
+		t.Error("negative retry count accepted")
+	}
+	if err := (Options{Jobs: 1, RunTimeout: -3 * time.Second}).Validate(); err == nil {
+		t.Error("negative run timeout accepted")
 	}
 }

@@ -60,8 +60,7 @@ func (r *Runner) ExperimentRuns(exp string) []RunKey {
 	case "sweep":
 		// CfgRepl is declared explicitly: it is the sweep's identity
 		// point (Sweep/NumLevels=3 and Sweep/NumRows*1 build exactly
-		// that machine) and the fork-family leader every other sweep
-		// point forks from (fork.go).
+		// that machine and alias to it, see aliasOf).
 		return matrix(SweepApps, append([]string{CfgNoPref, CfgRepl}, SweepConfigs()...))
 	case "faults":
 		return matrix(apps, []string{CfgNoPref, CfgRepl})
@@ -85,55 +84,20 @@ func (r *Runner) PlanRuns(exps []string) []RunKey {
 	return out
 }
 
-// buildDAG derives the dependency graph of a planned key set from its
-// fork families: every planned follower is blocked by its family
-// leader, every other key (leaders included) is free. Followers that
-// dispatch only after their leader's outcome resolves never burn a
-// worker slot blocking on the leader memo, so -fork composes with
-// -j N: independent families fan out across workers while each
-// family's followers wait exactly as long as they must.
-func (r *Runner) buildDAG(keys []RunKey) (blockedBy map[RunKey]int, dependents map[RunKey][]RunKey) {
-	blockedBy = make(map[RunKey]int)
-	dependents = make(map[RunKey][]RunKey)
-	fp := r.fork
-	if fp == nil {
-		return blockedBy, dependents
-	}
-	// planFork only records followers whose leader is in the key set,
-	// so every edge here stays inside the planned keys.
-	for _, k := range keys {
-		if _, ok := fp.followers[k]; !ok {
-			continue
-		}
-		leader := RunKey{App: k.App, Label: CfgRepl}
-		blockedBy[k]++
-		dependents[leader] = append(dependents[leader], k)
-	}
-	return blockedBy, dependents
-}
-
-// ExecuteAll runs every key on a bounded worker pool of the given
-// size (<=0 means GOMAXPROCS) and returns when all are complete.
-// Because runs memoize with single-flight semantics, keys that share
-// op streams, miss traces, sizing or a canonical configuration
-// compute them once, and a key already cached costs nothing. onDone,
-// if non-nil, is called after each completed run with (completed,
+// ExecuteAll runs every key, in plan order, on a bounded worker pool
+// of the given size (<=0 means GOMAXPROCS) and returns when all are
+// complete. Because runs memoize with single-flight semantics, keys
+// that share op streams, miss traces, sizing or a machine (an identity
+// alias and its Repl run) compute them once, whichever worker gets
+// there first, and a key already cached costs nothing. onDone, if
+// non-nil, is called after each completed run with (completed,
 // total); it may be called from many goroutines at once and must
 // synchronize itself.
 //
-// Scheduling is an explicit dependency DAG, not a flat queue: fork
-// followers are blocked by their family leader and dispatch only once
-// the leader's outcome (and sealed snapshot ring) is published, while
-// leaders and independent runs fan out across the workers from the
-// start. A leader always completes its node — even by memoizing an
-// error — so followers always unblock and the dispatcher cannot
-// deadlock; a follower whose leader failed simply falls back to a
-// scratch run.
-//
 // Cancelling ctx interrupts the matrix: in-flight runs checkpoint (if
 // a store is attached and they support it) or abort, queued keys are
-// skipped (each still flows through the DAG so accounting completes),
-// and ExecuteAll returns the context's error once everything has
+// skipped (each is still counted so accounting completes), and
+// ExecuteAll returns the context's error once everything has
 // stopped — no run is killed mid-write. Runs that exhaust their retry
 // budget don't stop the matrix; they are reported in the returned
 // error after all keys have been visited.
@@ -155,10 +119,6 @@ func (r *Runner) ExecuteAll(ctx context.Context, keys []RunKey, workers int, onD
 	if len(keys) == 0 {
 		return nil
 	}
-	// Derive the fork families of this run set and their dependency
-	// graph (fork.go / buildDAG above).
-	r.planFork(keys)
-	blockedBy, dependents := r.buildDAG(keys)
 
 	// Fan the context's cancellation out to the in-flight runs.
 	cancelDone := make(chan struct{})
@@ -177,7 +137,6 @@ func (r *Runner) ExecuteAll(ctx context.Context, keys []RunKey, workers int, onD
 	var firstErr error
 	var nFailed int
 	work := make(chan RunKey)
-	finished := make(chan RunKey)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -198,42 +157,11 @@ func (r *Runner) ExecuteAll(ctx context.Context, keys []RunKey, workers int, onD
 				if onDone != nil {
 					onDone(n, len(keys))
 				}
-				finished <- k
 			}
 		}()
 	}
-
-	// Dispatch loop: feed ready keys (plan order preserved among
-	// equals) and unblock dependents as their leaders finish. The
-	// select keeps the dispatcher responsive to completions even while
-	// every worker is busy, and every key — dispatched, skipped, or
-	// failed — flows back through finished exactly once, so the loop
-	// terminates when the count says so.
-	ready := make([]RunKey, 0, len(keys))
 	for _, k := range keys {
-		if blockedBy[k] == 0 {
-			ready = append(ready, k)
-		}
-	}
-	for completed := 0; completed < len(keys); {
-		var feed chan RunKey
-		var next RunKey
-		if len(ready) > 0 {
-			feed = work
-			next = ready[0]
-		}
-		select {
-		case feed <- next:
-			ready = ready[1:]
-		case k := <-finished:
-			completed++
-			for _, dep := range dependents[k] {
-				blockedBy[dep]--
-				if blockedBy[dep] == 0 {
-					ready = append(ready, dep)
-				}
-			}
-		}
+		work <- k
 	}
 	close(work)
 	wg.Wait()

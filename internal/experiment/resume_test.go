@@ -29,10 +29,13 @@ func storeFor(t *testing.T, opt Options) (*Store, string) {
 	return s, dir
 }
 
-// TestSweepAliasIdentity proves the forkIdentical class is sound: the
-// identity-point sweep labels build configurations structurally
-// identical to Repl's, and under a fork plan they cost no additional
-// simulation yet report under their own labels.
+// TestSweepAliasIdentity proves the identity-alias rule (aliasOf) is
+// sound: the identity-point sweep labels build configurations
+// structurally identical to Repl's, and executing them costs no
+// additional simulation yet reports under their own labels. The
+// worker pool dispatches in plan order, so listing the aliases before
+// Repl on several workers makes an alias reach the shared memo first;
+// that order must neither deadlock nor simulate twice.
 func TestSweepAliasIdentity(t *testing.T) {
 	// Recycled successor arenas carry unobservable stale words, so two
 	// structurally identical builds are only byte-identical (DeepEqual)
@@ -41,38 +44,56 @@ func TestSweepAliasIdentity(t *testing.T) {
 	r := NewRunner(resumeOptions())
 	base := r.BuildConfig("Mcf", CfgRepl)
 	aliases := []string{SweepLevelsLabel(3), SweepRowsLabel("*1")}
+	var aliasKeys []RunKey
 	for _, label := range aliases {
 		if got := r.BuildConfig("Mcf", label); !reflect.DeepEqual(got, base) {
 			t.Errorf("%s builds a different machine than %s", label, CfgRepl)
 		}
+		aliasKeys = append(aliasKeys, RunKey{App: "Mcf", Label: label})
 	}
+	repl := RunKey{App: "Mcf", Label: CfgRepl}
 
-	keys := []RunKey{{App: "Mcf", Label: CfgRepl}}
-	for _, label := range aliases {
-		keys = append(keys, RunKey{App: "Mcf", Label: label})
-	}
-	if err := r.ExecuteAll(nil, keys, 2, nil); err != nil {
-		t.Fatalf("ExecuteAll: %v", err)
-	}
-	res := r.Run("Mcf", CfgRepl)
-	if n := r.RunsComputed(); n != 1 {
-		t.Fatalf("computed %d runs, want 1", n)
-	}
-	if n := r.ForkedRuns(); n != 2 {
-		t.Fatalf("forked %d runs, want 2", n)
-	}
-	for _, label := range aliases {
-		got := r.Run("Mcf", label)
-		if got.Label != label {
-			t.Errorf("aliased run label = %q, want %q", got.Label, label)
-		}
-		got.Label = res.Label
-		if !reflect.DeepEqual(got, res) {
-			t.Errorf("aliased run %s diverges from %s", label, CfgRepl)
-		}
-	}
-	if n := r.RunsComputed(); n != 1 {
-		t.Errorf("aliased labels re-simulated: computed %d runs, want 1", n)
+	for _, tc := range []struct {
+		name string
+		keys []RunKey
+		jobs int
+	}{
+		{"ReplFirst", append([]RunKey{repl}, aliasKeys...), 2},
+		{"AliasesFirst", append(append([]RunKey(nil), aliasKeys...), repl), 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRunner(resumeOptions())
+			done := make(chan error, 1)
+			go func() { done <- r.ExecuteAll(nil, tc.keys, tc.jobs, nil) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("ExecuteAll: %v", err)
+				}
+			case <-time.After(5 * time.Minute):
+				t.Fatal("ExecuteAll did not return: alias and Repl deadlocked")
+			}
+			res := r.Run("Mcf", CfgRepl)
+			if n := r.RunsComputed(); n != 1 {
+				t.Fatalf("computed %d runs, want 1", n)
+			}
+			if n := r.ForkedRuns(); n != 2 {
+				t.Fatalf("aliased %d runs, want 2", n)
+			}
+			for _, label := range aliases {
+				got := r.Run("Mcf", label)
+				if got.Label != label {
+					t.Errorf("aliased run label = %q, want %q", got.Label, label)
+				}
+				got.Label = res.Label
+				if !reflect.DeepEqual(got, res) {
+					t.Errorf("aliased run %s diverges from %s", label, CfgRepl)
+				}
+			}
+			if n := r.RunsComputed(); n != 1 {
+				t.Errorf("aliased labels re-simulated: computed %d runs, want 1", n)
+			}
+		})
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // serialize the full arena, so two checkpoints of behaviorally
 // identical tables may differ in their unreachable bytes — the
 // restored table is still behaviorally identical, which is what every
-// resume and fork oracle compares.
+// resume oracle compares.
 //
 // The pool only fills through explicit Recycle calls (the experiment
 // runner retires a machine's tables once its results are extracted),

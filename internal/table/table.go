@@ -45,28 +45,6 @@ func (NullSink) Touch(mem.Addr, int, bool) {}
 // Instr implements Sink.
 func (NullSink) Instr(int) {}
 
-// TeeSink forwards every cost report to two sinks. The fork-recording
-// leader run uses it to feed the real memory-processor session and the
-// decision-trace hash from one table walk: the observed Instr/Touch
-// stream is identical to the unrecorded run by construction, only the
-// dispatch goes through the generic (interface) path of the table
-// cores instead of the *SessionSink specialization.
-type TeeSink struct {
-	A, B Sink
-}
-
-// Touch implements Sink.
-func (t TeeSink) Touch(addr mem.Addr, size int, write bool) {
-	t.A.Touch(addr, size, write)
-	t.B.Touch(addr, size, write)
-}
-
-// Instr implements Sink.
-func (t TeeSink) Instr(n int) {
-	t.A.Instr(n)
-	t.B.Instr(n)
-}
-
 // SessionSink is the concrete memory-processor sink of the simulator's
 // hot path. The tables' public methods specialize their generic cores
 // for *SessionSink and NullSink so the per-way Instr/Touch cost
