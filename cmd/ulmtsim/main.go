@@ -8,7 +8,7 @@
 //	ulmtsim [-exp all|table1..table5|fig5..fig11|ablation|sweep|faults|multicore]
 //	        [-scale tiny|small|medium|large] [-apps CG,Mcf,...] [-seed N]
 //	        [-j N] [-faults off|light|heavy|k=v,...] [-fault-seed N]
-//	        [-fastpath on|off] [-cores N] [-shards N]
+//	        [-fastpath on|off] [-cores N] [-shards N] [-intra-j N]
 //	        [-checkpoint-dir DIR] [-resume] [-run-timeout D] [-retries N]
 //	        [-cache-dir DIR] [-cache on|off] [-mem-budget MIB]
 //	        [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
@@ -26,21 +26,26 @@
 // cache as an equivalence oracle. The footer reports hits, misses and
 // stale entries.
 //
-// -mem-budget caps retained simulation memory — the recycled
-// correlation-table arena pool and multicore mailbox growth — under
-// one ledger (default 192 MiB, 0 = uncapped): pooled arenas are
-// evicted largest-first under pressure, and an arena the budget
-// cannot hold is dropped (the next same-geometry build allocates
-// fresh — slower, never wrong). An active budget also drops the GC
-// target to 50% unless -gcpercent overrides it, so GOGC headroom does
-// not re-inflate what the ledger squeezed out; the pointer-free
-// simulation heap makes the extra GC cycles effectively free.
+// -mem-budget caps the bytes the recycled correlation-table arena
+// pool retains between simulations (default 192 MiB, 0 = uncapped):
+// parking an arena that does not fit evicts pooled arenas
+// largest-first, and an arena larger than the cap is dropped (the
+// next same-geometry build allocates fresh — slower, never wrong). An
+// active cap also drops the GC target to 50% unless -gcpercent
+// overrides it, so GOGC headroom does not re-inflate what the cap
+// squeezed out; the pointer-free simulation heap makes the extra GC
+// cycles effectively free.
 //
-// With -checkpoint-dir, completed runs are persisted as they finish
-// and SIGINT/SIGTERM checkpoints whatever is mid-flight (at the next
-// quiescent point) before exiting; a later invocation with -resume
-// picks up exactly where the interrupted one stopped and renders a
-// byte-identical report. -run-timeout and -retries bound each
+// With -checkpoint-dir DIR, SIGINT/SIGTERM checkpoints whatever is
+// mid-flight (at the next quiescent point) into DIR/ckpt before
+// exiting, and completed runs land in the result cache, which lives
+// in DIR unless -cache-dir names another directory. A later
+// invocation replays the completed runs from the cache; with -resume
+// it also continues each checkpointed run exactly where it stopped,
+// and renders a byte-identical report. Checkpoints are named and
+// stamped by their run's cache key, so one directory serves any mix
+// of scales, seeds and fault plans, and a code-behavior version bump
+// discards stale ones. -run-timeout and -retries bound each
 // simulation attempt: a run that panics or exceeds the watchdog is
 // retried with backoff, and only counts as failed once the retry
 // budget is exhausted.
@@ -137,16 +142,16 @@ func run() error {
 	gcPercent := flag.Int("gcpercent", -1, "set the host GC target percentage (debug.SetGCPercent); -1 uses 50 when -mem-budget is active, GOGC otherwise")
 	memLimit := flag.Int64("memlimit", 0, "set a soft host heap limit in bytes (debug.SetMemoryLimit); 0 leaves it alone")
 	benchJSON := flag.String("bench-json", "", "write headline run metrics as JSON to this file")
-	ckptDir := flag.String("checkpoint-dir", "", "persist completed results and mid-flight checkpoints under this directory (enables -resume and SIGINT/SIGTERM checkpointing)")
-	resume := flag.Bool("resume", false, "reuse completed results and mid-flight checkpoints found in -checkpoint-dir instead of re-simulating")
+	ckptDir := flag.String("checkpoint-dir", "", "write mid-flight checkpoints here on SIGINT/SIGTERM, and keep the result cache here unless -cache-dir is given (enables -resume)")
+	resume := flag.Bool("resume", false, "continue runs from the mid-flight checkpoints in -checkpoint-dir instead of restarting them (completed runs replay from the cache either way)")
 	runTimeout := flag.Duration("run-timeout", 0, "per-simulation wall-clock watchdog; a run past it is aborted and retried (0 = off)")
 	retries := flag.Int("retries", 2, "times a panicked or timed-out run is re-attempted before being reported failed")
 	cores := flag.Int("cores", 0, "main-processor count for -exp multicore (0 sweeps 2/4/8)")
 	shards := flag.Int("shards", 0, "correlation-table shards for -exp multicore (0 = private per-core ULMTs, >=1 = one shared table across that many memory threads)")
 	intraJ := flag.Int("intra-j", 1, "intra-run workers advancing one multicore machine's time windows (1 = sequential oracle, 0 = GOMAXPROCS); reports are byte-identical at any value")
 	cacheDir := flag.String("cache-dir", "", "persist completed results and derived artifacts in a content-addressed cache under this directory; later invocations with the same parameters replay from it")
-	cacheFlag := flag.String("cache", "on", "result cache (on or off); off bypasses -cache-dir entirely (the equivalence oracle — reports are bit-identical either way)")
-	memBudget := flag.Int64("mem-budget", 192, "retained-memory budget in MiB for the correlation-table arena pool and multicore mailboxes (0 = uncapped); peak heap runs about one budget above a retention-free run's baseline")
+	cacheFlag := flag.String("cache", "on", "result cache (on or off); off bypasses it entirely, the one under -checkpoint-dir included (the equivalence oracle — reports are bit-identical either way)")
+	memBudget := flag.Int64("mem-budget", 192, "cap in MiB on the correlation-table arenas retained between simulations (0 = uncapped); peak heap runs about one cap above a retention-free run's baseline")
 	flag.Parse()
 
 	memBudgetBytes, err := mibToBytes(*memBudget)
@@ -157,9 +162,9 @@ func run() error {
 	case *gcPercent >= 0:
 		debug.SetGCPercent(*gcPercent)
 	case memBudgetBytes > 0:
-		// A retention budget says the user wants peak heap bounded, and
+		// A retention cap says the user wants peak heap bounded, and
 		// GOGC's default 100% headroom would re-inflate whatever the
-		// ledger squeezed out. The simulation heap is deliberately
+		// cap squeezed out. The simulation heap is deliberately
 		// pointer-free (packed arenas), so marking twice as often costs
 		// ~1ms a cycle and measures slightly FASTER than GOGC=100 at
 		// medium scale — the smaller heap is kinder to the caches.
@@ -264,15 +269,14 @@ func run() error {
 		}
 	}
 	r := experiment.NewRunner(opt)
-	if *ckptDir != "" {
-		store, err := experiment.OpenStore(*ckptDir, opt)
-		if err != nil {
-			return err
-		}
-		r.AttachStore(store)
+	// The cache is the only store of completed results, so a
+	// checkpoint directory without a -cache-dir holds them too.
+	resultsDir := *cacheDir
+	if resultsDir == "" {
+		resultsDir = *ckptDir
 	}
-	if *cacheDir != "" && cacheOn {
-		cache, err := experiment.OpenCache(*cacheDir, opt)
+	if resultsDir != "" && cacheOn {
+		cache, err := experiment.OpenCache(resultsDir, opt)
 		if err != nil {
 			return err
 		}

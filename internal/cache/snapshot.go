@@ -117,8 +117,7 @@ func (c *Cache) Restore(r *checkpoint.Reader) {
 	for i := range c.wbq {
 		c.wbq[i] = mem.Line(r.U64())
 	}
-	c.wbqHead = r.Int()
-	c.wbqLen = r.Int()
+	c.wbqHead, c.wbqLen = r.Ring(len(c.wbq))
 	c.tick = r.U64()
 	c.st.Accesses = r.U64()
 	c.st.Misses = r.U64()

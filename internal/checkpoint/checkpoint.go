@@ -6,9 +6,12 @@
 //	offset  size  field
 //	0       8     magic "ULMTCKPT"
 //	8       4     format version (little-endian uint32)
-//	12      32    configuration fingerprint (sha256 of a canonical
-//	              run descriptor — app, config label, scale, seed,
-//	              fastpath, kernel, fault tag)
+//	12      32    configuration fingerprint: the caller's identity
+//	              for the run (the experiment runner stamps each
+//	              checkpoint with its run's full cache key — app,
+//	              config label, the Options fingerprint of scale,
+//	              seed, kernel, fastpath and fault tag, and the cache
+//	              behavior version)
 //	44      8     payload length N (little-endian uint64)
 //	52      N     payload (sectioned binary state, see Writer/Reader)
 //	52+N    32    sha256 over bytes [0, 52+N)
@@ -343,15 +346,49 @@ func (r *Reader) Int() int { return int(r.I64()) }
 // Bool reads a bool.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
 
-// sliceLen validates a length prefix against an expected destination
-// size; checkpointed slices restore into identically-configured
-// structures, so a length change means config or format skew.
+// Count reads an entry count written by Writer.Int for a run of
+// entries of entryBytes bytes each. A negative count, or one whose
+// entries cannot fit in the bytes left, fails with ErrCorrupt and
+// reads as 0, so a restore loop over the count — and any allocation
+// sized by it — stays bounded by the payload.
+func (r *Reader) Count(entryBytes int) int {
+	n := r.Int()
+	if r.err != nil {
+		return 0
+	}
+	if left := len(r.buf) - r.off; n < 0 || n > left/entryBytes {
+		r.Failf("count %d of %d-byte entries, %d bytes left", n, entryBytes, left)
+		return 0
+	}
+	return n
+}
+
+// Ring reads a ring buffer's head index and occupancy, written as two
+// Writer.Int values, and checks them against its capacity: the head
+// must index a slot (or be 0 when there are none) and the occupancy
+// must not exceed the capacity. Out-of-range values fail with
+// ErrCorrupt and read as an empty ring.
+func (r *Reader) Ring(capacity int) (head, n int) {
+	head, n = r.Int(), r.Int()
+	if r.err != nil {
+		return 0, 0
+	}
+	if head < 0 || (head >= capacity && head != 0) || n < 0 || n > capacity {
+		r.Failf("ring head %d, length %d, capacity %d", head, n, capacity)
+		return 0, 0
+	}
+	return head, n
+}
+
+// sliceLen validates a length prefix against the destination size;
+// checkpointed slices restore into identically-configured structures,
+// so a length change means config or format skew.
 func (r *Reader) sliceLen(want int) int {
 	n := r.U64()
 	if r.err != nil {
 		return 0
 	}
-	if want >= 0 && n != uint64(want) {
+	if n != uint64(want) {
 		r.fail(fmt.Errorf("%w: slice length %d, destination holds %d",
 			ErrCorrupt, n, want))
 		return 0
@@ -391,17 +428,4 @@ func (r *Reader) I64sInto(dst []int64) {
 	for i := 0; i < n; i++ {
 		dst[i] = r.I64()
 	}
-}
-
-// I64Slice reads a length-prefixed []int64 of caller-unknown length.
-func (r *Reader) I64Slice() []int64 {
-	n := r.sliceLen(-1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = r.I64()
-	}
-	return vs
 }

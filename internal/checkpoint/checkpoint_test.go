@@ -213,3 +213,33 @@ func TestReaderSticky(t *testing.T) {
 		t.Fatalf("error not sticky: %v then %v", first, r.Err())
 	}
 }
+
+// TestReaderCount verifies a count is accepted only when its entries
+// fit in the bytes left: a negative or oversized count fails with
+// ErrCorrupt and reads as 0.
+func TestReaderCount(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		count int
+		want  int
+		bad   bool
+	}{
+		{"fits", 2, 2, false},
+		{"negative", -1, 0, true},
+		{"past the payload", 3, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWriter()
+			w.Int(tc.count)
+			w.U64(7)
+			w.U64(8)
+			r := NewReader(w.Bytes())
+			if got := r.Count(8); got != tc.want {
+				t.Errorf("Count = %d, want %d", got, tc.want)
+			}
+			if err := r.Err(); tc.bad != errors.Is(err, ErrCorrupt) {
+				t.Errorf("error %v, want ErrCorrupt: %v", err, tc.bad)
+			}
+		})
+	}
+}

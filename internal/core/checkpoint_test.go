@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"ulmt/internal/checkpoint"
 	"ulmt/internal/prefetch"
@@ -237,5 +238,43 @@ func TestResumeGeometryMismatch(t *testing.T) {
 	}
 	if !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Errorf("geometry mismatch error: %v", err)
+	}
+}
+
+// TestCheckpointRejectsOversizedCount restores a 63-byte, integrity-valid
+// checkpoint whose page-map entry count is 1<<40: the restore must
+// fail with ErrCorrupt at once instead of looping over entries the
+// payload cannot hold.
+func TestCheckpointRejectsOversizedCount(t *testing.T) {
+	w := checkpoint.NewWriter()
+	w.Tag("system")
+	w.I64(0) // clock
+	w.U64(0) // seq
+	w.U64(0) // fired
+	w.I64(0) // step event
+	w.Tag("pagemap")
+	w.U64(0)       // allocation cursor
+	w.Int(1 << 40) // page-table entries
+	if n := len(w.Bytes()); n != 63 {
+		t.Fatalf("payload is %d bytes, want 63", n)
+	}
+	path := filepath.Join(t.TempDir(), "huge.ckpt")
+	var fp [32]byte
+	if err := checkpoint.Save(path, fp, w.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	sys, ops := mustSystem(DefaultConfig()), ckptOps(t)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := sys.ResumeCheckpoint("Mcf", ops, path, fp, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("resume error %v, want ErrCorrupt", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("restore still running after 1s: the entry count is not bounded by the payload")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"ulmt/internal/budget"
 	"ulmt/internal/bus"
 	"ulmt/internal/checkpoint"
 	"ulmt/internal/cpu"
@@ -76,10 +75,6 @@ type MulticoreConfig struct {
 	// WindowCap, when > 0, bounds window spans to that many cycles.
 	// Results are cap-invariant; the equivalence fuzzer sweeps it.
 	WindowCap sim.Cycle
-	// Ledger, when non-nil, is charged for the parallel mode's
-	// per-core mailbox buffers so -mem-budget keeps bounding retained
-	// memory; reservations are released when the run ends.
-	Ledger *budget.Ledger
 }
 
 // MulticoreResults reports an N-core run: per-core Results plus the
@@ -127,10 +122,6 @@ type MultiSystem struct {
 	// engine loop, which stays event-for-event equal to System.Run.
 	windowed bool
 	de       *sim.DomainEngine
-
-	// budgetBytes tracks ledger reservations (mailbox buffers, window
-	// scratch, shard owner map) released when the run ends.
-	budgetBytes int64
 
 	started   bool
 	finished  []bool
@@ -222,9 +213,6 @@ func NewMultiSystem(mc MulticoreConfig) (*MultiSystem, error) {
 		ss.cores = ms.cores
 		ss.pendingDeliver = make([]bool, len(ms.cores))
 		ss.attrib = make([]stats.ShardAttrib, len(ms.cores))
-		if mc.Ledger != nil {
-			ss.reserve = ms.reserveBudget
-		}
 		ms.shards = ss
 		for _, s := range ms.cores {
 			s.shards = ss
@@ -250,8 +238,8 @@ func (ms *MultiSystem) coreOps(i int) []workload.Op {
 }
 
 // newCoreProc builds core i's processor and, in windowed mode, puts
-// it in armed-register scheduling with the read-only window probe and
-// ledger-charged mailbox growth before any event is scheduled.
+// it in armed-register scheduling with the read-only window probe
+// before any event is scheduled.
 func (ms *MultiSystem) newCoreProc(i int, ops []workload.Op) *cpu.Processor {
 	s := ms.cores[i]
 	proc, err := cpu.New(ms.eng, s.cfg.CPU, s, ops)
@@ -262,9 +250,6 @@ func (ms *MultiSystem) newCoreProc(i int, ops []workload.Op) *cpu.Processor {
 	if ms.windowed {
 		proc.SetWindowed()
 		proc.SetWindowProbe(s.windowProbeL1)
-		if ms.mc.Ledger != nil {
-			proc.SetOnBufGrow(ms.reserveBudget)
-		}
 	}
 	s.proc = proc
 	return proc
@@ -283,28 +268,14 @@ func (ms *MultiSystem) buildDomains() {
 	for _, s := range ms.cores {
 		ms.de.Add(coreDomain{s.proc})
 	}
-	ms.reserveBudget(ms.de.ScratchBytes())
 }
 
-// reserveBudget charges delta bytes of parallel-mode scratch to the
-// run's ledger, remembering the total for releaseRun.
-func (ms *MultiSystem) reserveBudget(delta int64) {
-	ms.budgetBytes += delta
-	if ms.mc.Ledger != nil {
-		ms.mc.Ledger.MustReserve(delta)
-	}
-}
-
-// releaseRun returns ledger reservations and parks the worker pool;
-// every external run entry point defers it.
+// releaseRun parks the worker pool; every external run entry point
+// defers it.
 func (ms *MultiSystem) releaseRun() {
 	if ms.de != nil {
 		ms.de.Close()
 	}
-	if ms.mc.Ledger != nil && ms.budgetBytes > 0 {
-		ms.mc.Ledger.Release(ms.budgetBytes)
-	}
-	ms.budgetBytes = 0
 }
 
 // start attaches every core's processor and schedules the initial

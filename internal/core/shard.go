@@ -127,14 +127,10 @@ type shardSet struct {
 	// disjoint address spaces, so full lines never collide; sets do)
 	// to the core whose observation last trained it; attrib
 	// accumulates the per-core cross-core sharing/pollution counters
-	// built from it (stats.ShardAttrib). reserve, when non-nil,
-	// charges owner-map growth to the run's memory budget in
-	// ownerChunk-entry steps.
-	owner         map[uint64]int32
-	rowOf         func(mem.Line) uint64
-	attrib        []stats.ShardAttrib
-	reserve       func(delta int64)
-	ownerReserved int
+	// built from it (stats.ShardAttrib).
+	owner  map[uint64]int32
+	rowOf  func(mem.Line) uint64
+	attrib []stats.ShardAttrib
 
 	// emits/obs/collect mirror System.ulmtEmits and friends: one
 	// reusable emit buffer, safe because sessions run synchronously
@@ -307,14 +303,6 @@ func (ss *shardSet) process(core int, line mem.Line) {
 	ss.eng.Schedule(respAt, ss, kdDeposit, sim.Event{P: job})
 }
 
-// ownerChunk is the owner-map budget-accounting granularity: growth
-// is charged per chunk of entries, at a conservative retained size
-// per entry (key + value + Go map overhead).
-const (
-	ownerChunk      = 4096
-	ownerEntryBytes = 64
-)
-
 // attribute books one processed observation into the per-core
 // sharing/pollution counters: emits charge to the training origin of
 // the table set the line maps to (local vs another core), and
@@ -334,14 +322,8 @@ func (ss *shardSet) attribute(core int, line mem.Line, emits int) {
 	} else {
 		ss.attrib[core].LocalEmits += uint64(emits)
 	}
-	if !had {
-		if ss.owner == nil {
-			ss.owner = make(map[uint64]int32)
-		}
-		if ss.reserve != nil && len(ss.owner) >= ss.ownerReserved {
-			ss.reserve(int64(ownerChunk) * ownerEntryBytes)
-			ss.ownerReserved += ownerChunk
-		}
+	if ss.owner == nil {
+		ss.owner = make(map[uint64]int32)
 	}
 	if !had || int(prev) != core {
 		ss.owner[key] = int32(core)
@@ -520,11 +502,11 @@ func (ss *shardSet) restore(r *checkpoint.Reader) {
 		sh.mp.Restore(r)
 		sh.ram.Restore(r)
 		sh.freeAt = sim.Cycle(r.I64())
-		k := r.Int()
+		k := r.Count(24) // line, core, seq
 		if r.Err() != nil {
 			return
 		}
-		if k < 0 || k > ss.q3cap {
+		if k > ss.q3cap {
 			r.Failf("implausible shard push-ring depth %d", k)
 			return
 		}
@@ -547,21 +529,12 @@ func (ss *shardSet) restore(r *checkpoint.Reader) {
 		ss.attrib[i].CrossEmits = r.U64()
 		ss.attrib[i].RowTakeovers = r.U64()
 	}
-	no := r.Int()
+	no := r.Count(16) // row key, core
 	if r.Err() != nil {
-		return
-	}
-	if no < 0 || no > 1<<28 {
-		r.Failf("implausible row-owner map size %d", no)
 		return
 	}
 	ss.owner = make(map[uint64]int32, no)
 	for j := 0; j < no; j++ {
 		ss.owner[r.U64()] = int32(r.Int())
-	}
-	if ss.reserve != nil && no > 0 {
-		chunks := (no + ownerChunk - 1) / ownerChunk
-		ss.ownerReserved = chunks * ownerChunk
-		ss.reserve(int64(ss.ownerReserved) * ownerEntryBytes)
 	}
 }

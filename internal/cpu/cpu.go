@@ -207,13 +207,6 @@ type Processor struct {
 	strIssued   int
 	strFinished bool
 	strFinishAt sim.Cycle
-
-	// onBufGrow, when set, is told about completion-ring backing-array
-	// growth so the owning machine can charge the mailbox to a memory
-	// budget ledger (SetOnBufGrow). bufGrown latches growth observed
-	// inside a concurrent stretch until the sequential barrier.
-	onBufGrow func(delta int64)
-	bufGrown  int64
 }
 
 // New builds a processor over the op stream. Call Start to begin.

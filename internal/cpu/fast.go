@@ -65,21 +65,6 @@ func (p *Processor) pushRing(e fastDone) {
 		p.ring = p.ring[:n]
 		p.ringHead = 0
 	}
-	if p.onBufGrow != nil && len(p.ring) == cap(p.ring) {
-		before := cap(p.ring)
-		p.ring = append(p.ring, e)
-		const fastDoneBytes = 16 // due Cycle + id uint64
-		delta := int64(cap(p.ring)-before) * fastDoneBytes
-		if p.stretching {
-			// Off-clock: the ledger is shared, so growth observed
-			// inside a concurrent stretch is latched and charged at
-			// the sequential window barrier (CommitStretch).
-			p.bufGrown += delta
-		} else {
-			p.onBufGrow(delta)
-		}
-		return
-	}
 	p.ring = append(p.ring, e)
 }
 

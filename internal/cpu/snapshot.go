@@ -79,12 +79,8 @@ func (p *Processor) Restore(r *checkpoint.Reader) {
 	p.nextLoadID = r.U64()
 	p.lastLoadID = r.U64()
 	p.lastLoadDone = r.Bool()
-	n := r.Int()
+	n := r.Count(17) // id, opIdx, done
 	if r.Err() != nil {
-		return
-	}
-	if n < 0 || n > 1<<20 {
-		r.Failf("implausible issue-window depth %d", n)
 		return
 	}
 	p.inflight = make([]inflightLoad, n)

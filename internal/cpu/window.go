@@ -62,13 +62,6 @@ func (p *Processor) SetWindowProbe(probe func(a mem.Addr, write bool) (rt sim.Cy
 	}
 }
 
-// SetOnBufGrow installs a callback invoked with the byte delta
-// whenever the local completion ring's backing array grows. The
-// multi-core machine charges these mailbox buffers to the run's
-// budget.Ledger so -mem-budget keeps bounding retained memory in
-// parallel mode.
-func (p *Processor) SetOnBufGrow(f func(delta int64)) { p.onBufGrow = f }
-
 // Armed reports the armed step register: the due cycle of the next
 // issue-cycle step, and whether one is armed at all (a blocked,
 // draining, or finished core has none).
@@ -156,10 +149,6 @@ func (p *Processor) RunStretch(horizon sim.Cycle) {
 // sequential part of every window — so queue insertion order, and
 // with it all downstream tie-breaking, is canonical.
 func (p *Processor) CommitStretch() {
-	if p.bufGrown != 0 {
-		p.onBufGrow(p.bufGrown)
-		p.bufGrown = 0
-	}
 	for p.ringHead < len(p.ring) {
 		e := p.ring[p.ringHead]
 		p.ringHead++

@@ -16,20 +16,21 @@ import (
 // Persistent content-addressed run cache.
 //
 // Every ulmtsim invocation used to re-simulate its entire run matrix
-// from scratch; with a Cache attached, a completed run's Results (the
-// same exact-round-trip JSON the resume Store persists) are written
-// once under a content-derived name and every later invocation that
-// asks for the same work replays it from disk. The cache is
-// content-addressed, not manifest-pinned like the checkpoint Store:
-// one directory serves any mix of scales, seeds, fault plans and app
-// subsets, because the identity of each entry is a digest of
-// everything that could change its bytes:
+// from scratch; with a Cache attached, a completed run's Results are
+// written once under a content-derived name and every later
+// invocation that asks for the same work replays it from disk. The
+// cache is the only store of completed results: resuming an
+// interrupted invocation replays its finished runs from here, and
+// its mid-flight checkpoints are named by the same addresses
+// (Runner.checkpointFile). One directory serves any mix of scales,
+// seeds, fault plans and app subsets, because the identity of each
+// entry is a digest of everything that could change its bytes:
 //
 //   - the canonical RunKey encoding (length-prefixed, so no two
 //     distinct (app, label) or (kind, name) pairs can collide — see
 //     FuzzCacheKey),
 //   - the Options behavior fingerprint (scale, seed, kernel, fastpath,
-//     fault plan — the same identity checkpoints are stamped with),
+//     fault plan),
 //   - CacheBehaviorVersion, a code-behavior constant bumped whenever a
 //     change legitimately moves report_sha256; entries from an older
 //     code generation are detected as stale and recomputed, never
@@ -42,11 +43,17 @@ import (
 // cached, a warm `-exp all` renders without generating a single op
 // stream.
 //
-// Entries are written atomically (tmp+rename) and are self-describing
-// (the envelope records the full key material); a corrupt, truncated
-// or mismatched entry counts as stale and is recomputed and
-// overwritten. `-cache=off` is the oracle: it bypasses the cache
-// entirely and must render byte-identical reports
+// Results round-trip exactly: every field of core.Results is either
+// an integer, a float64 (Go's JSON encoder emits the shortest
+// representation that parses back to the same bit pattern), or the
+// Histogram with its own exact codec, so a replayed run renders
+// byte-identical reports (TestCacheRunRoundTrip).
+//
+// Entries are written atomically and durably (tmp, fsync, rename) and
+// are self-describing (the envelope records the full key material); a
+// corrupt, truncated or mismatched entry counts as stale and is
+// recomputed and overwritten. `-cache=off` is the oracle: it bypasses
+// the cache entirely and must render byte-identical reports
 // (TestCacheWarmEquivalence).
 
 // CacheBehaviorVersion is the code-behavior generation of cache
@@ -62,6 +69,15 @@ const CacheBehaviorVersion = 1
 // bump without editing the constant. Everywhere else it equals
 // CacheBehaviorVersion.
 var cacheVersion uint64 = CacheBehaviorVersion
+
+// fingerprint is the Options half of every cache key: the options
+// that change simulated behavior. Its text is part of every existing
+// entry's address, so it must not change without a version bump.
+func (o Options) fingerprint() [32]byte {
+	return sha256.Sum256([]byte(fmt.Sprintf(
+		"ulmt-run/v1|scale=%s|seed=%d|kernel=%d|fastpath=%t|faults=%s",
+		o.Scale.String(), o.Seed, int(o.Kernel), !o.NoFastPath, o.FaultTag)))
+}
 
 // Artifact kinds stored beside the "run" Results entries.
 const (
@@ -153,9 +169,9 @@ type Cache struct {
 	stale  atomic.Uint64
 }
 
-// OpenCache creates (or re-opens) a cache directory. Unlike the
-// checkpoint Store there is no manifest to agree with: entries are
-// content-addressed, so one directory serves every invocation shape.
+// OpenCache creates (or re-opens) a cache directory. There is no
+// manifest to agree with: entries are content-addressed, so one
+// directory serves every invocation shape.
 func OpenCache(dir string, opt Options) (*Cache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "cache"), 0o755); err != nil {
 		return nil, fmt.Errorf("experiment: cache dir: %w", err)
@@ -186,22 +202,28 @@ type cacheEnvelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// path addresses an entry: the file name hashes the ref and the
+// entryAddr addresses an entry: it hashes the ref and the
 // fingerprint but NOT the behavior version, so bumping
 // CacheBehaviorVersion makes old entries show up as stale (countable,
 // reclaimable, overwritten in place) instead of orphaned files that
-// accumulate forever. The version still participates in the full key
-// stored inside the envelope, which the load path verifies.
-func (c *Cache) path(ref cacheRef) string {
-	sum := sha256.Sum256(encodeCacheKey(ref, c.fp, 0))
-	return filepath.Join(c.dir, "cache", fmt.Sprintf("%x.json", sum))
+// accumulate forever. The version still participates in entryKey,
+// the full identity the load path verifies.
+func entryAddr(ref cacheRef, fp [32]byte) string {
+	return fmt.Sprintf("%x", sha256.Sum256(encodeCacheKey(ref, fp, 0)))
 }
 
-// fullKey is the entry identity recorded in (and demanded of) the
+// entryKey is the entry identity recorded in (and demanded of) the
 // envelope: the canonical encoding including the behavior version.
+func entryKey(ref cacheRef, fp [32]byte) [32]byte {
+	return sha256.Sum256(encodeCacheKey(ref, fp, cacheVersion))
+}
+
+func (c *Cache) path(ref cacheRef) string {
+	return filepath.Join(c.dir, "cache", entryAddr(ref, c.fp)+".json")
+}
+
 func (c *Cache) fullKey(ref cacheRef) string {
-	sum := sha256.Sum256(encodeCacheKey(ref, c.fp, cacheVersion))
-	return fmt.Sprintf("%x", sum)
+	return fmt.Sprintf("%x", entryKey(ref, c.fp))
 }
 
 // load fetches an entry's payload. ok reports a usable hit; anything
@@ -230,10 +252,11 @@ func (c *Cache) load(ref cacheRef, into any) (ok bool) {
 	return true
 }
 
-// save persists an entry atomically (tmp+rename, never a truncated
-// file a later invocation would trust). Save failures are returned
-// for logging but never fail the run: a cache that cannot write is
-// just a cache that stays cold.
+// save persists an entry atomically and durably (tmp, fsync, rename:
+// never a truncated file a later invocation would trust, and the
+// cache holds the only copy of a completed run). Save failures are
+// returned for logging but never fail the run: a cache that cannot
+// write is just a cache that stays cold.
 func (c *Cache) save(ref cacheRef, payload any) error {
 	raw, err := json.Marshal(payload)
 	if err != nil {
@@ -258,6 +281,10 @@ func (c *Cache) save(ref cacheRef, payload any) error {
 	}
 	defer os.Remove(tmp.Name())
 	if _, err := tmp.Write(append(b, '\n')); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return err
 	}

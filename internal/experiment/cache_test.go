@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ulmt/internal/workload"
@@ -41,6 +42,25 @@ func renderCached(t *testing.T, opt Options, jobs int, dir string) ([]byte, *Run
 		}
 	}
 	return buf.Bytes(), r
+}
+
+// TestCacheRunRoundTrip proves a cached run reloads exactly — every
+// field of core.Results, including the histogram and float
+// derivatives — through a freshly opened cache, so a replayed or
+// resumed invocation renders byte-identical reports.
+func TestCacheRunRoundTrip(t *testing.T) {
+	opt := Options{Scale: workload.ScaleTiny, Apps: []string{"Mcf"}, Seed: 1}
+	dir := t.TempDir()
+	k := RunKey{App: "Mcf", Label: CfgRepl}
+	res := NewRunner(opt).Run(k.App, k.Label)
+	openTestCache(t, dir, opt).SaveRun(k, res)
+	got, ok := openTestCache(t, dir, opt).LoadRun(k)
+	if !ok {
+		t.Fatal("saved run not served")
+	}
+	if !reflect.DeepEqual(got, res) {
+		t.Errorf("cached run round-trip diverges:\n got %+v\nwant %+v", got, res)
+	}
 }
 
 // TestCacheWarmEquivalence is the headline guarantee of the run

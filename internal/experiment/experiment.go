@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ulmt/internal/budget"
 	"ulmt/internal/core"
 	"ulmt/internal/fault"
 	"ulmt/internal/mem"
@@ -64,9 +63,9 @@ type Options struct {
 	// either way; only wall clock and event counts move.
 	NoFastPath bool
 
-	// Resume, with a Store attached, reuses completed results and
-	// mid-flight checkpoints found in the checkpoint directory instead
-	// of re-simulating them (the -resume flag).
+	// Resume continues runs from the mid-flight checkpoints found
+	// under CheckpointDir instead of restarting them (the -resume
+	// flag). Completed runs need no flag: they replay from the cache.
 	Resume bool
 	// RunTimeout, if positive, bounds each simulation attempt's wall
 	// clock; a run past it is aborted and retried.
@@ -75,16 +74,18 @@ type Options struct {
 	// re-attempted before being reported failed (0 = no retries).
 	MaxRetries int
 	// FaultTag is the textual fault spec behind Faults ("" when none);
-	// it exists so the checkpoint-directory manifest and fingerprint
-	// can include the fault identity without hashing Plan internals.
+	// it exists so the cache-key fingerprint can include the fault
+	// identity without hashing Plan internals.
 	FaultTag string
 	// Jobs is the parallel worker count for ExecuteAll (the -j flag).
 	// Validate rejects values below 1: a zero here almost always
 	// means a caller forgot to set it, and silently running serial
 	// (or worse, GOMAXPROCS) hides the bug.
 	Jobs int
-	// CheckpointDir is where completed results and mid-flight
-	// checkpoints persist (the -checkpoint-dir flag; "" disables).
+	// CheckpointDir is where an interrupted run's mid-flight
+	// checkpoint is written, as ckpt/<cache address>.ckpt (the
+	// -checkpoint-dir flag; "" disables). cmd/ulmtsim also roots the
+	// result cache there when no CacheDir is given.
 	CheckpointDir string
 	// Cores is the main-processor count for the multicore experiment
 	// (the -cores flag; 0 sweeps the default 2/4/8 ladder).
@@ -102,17 +103,17 @@ type Options struct {
 	// and IntraJobs only picks how many goroutines advance it.
 	IntraJobs int
 	// CacheDir roots the persistent content-addressed result cache
-	// (the -cache-dir flag; "" disables). Unlike CheckpointDir it is
-	// not manifest-pinned: one directory serves every invocation
-	// shape, with entry identity carried by each entry's key.
+	// (the -cache-dir flag; "" disables). One directory serves every
+	// invocation shape, with entry identity carried by each entry's
+	// key.
 	CacheDir string
 	// NoCache bypasses the result cache even when CacheDir is set
 	// (the -cache=off oracle): every run simulates, nothing is read
 	// or written. Reports are bit-identical either way.
 	NoCache bool
-	// MemBudget caps retained simulation memory — the recycled
-	// successor-arena pool and multicore mailbox growth — in bytes
-	// (the -mem-budget flag; 0 disables the cap).
+	// MemBudget caps the bytes the recycled successor-arena pool
+	// retains between simulations (the -mem-budget flag; 0 disables
+	// the cap).
 	MemBudget int64
 }
 
@@ -208,16 +209,9 @@ type Runner struct {
 	runs   *memo[RunKey, simOutcome]
 	fig5   *memo[string, Fig5Row]
 
-	// store, when attached, persists completed results and mid-flight
-	// checkpoints so an interrupted invocation can resume (heal.go).
-	store *Store
 	// cache, when attached, serves completed runs and derived
 	// artifacts across invocations (cache.go) and records new ones.
 	cache *Cache
-	// ledger, when non-nil, is the retained-memory budget: the
-	// successor-arena pool reserves against it (table.SetArenaBudget)
-	// and multicore machines charge mailbox growth to it.
-	ledger *budget.Ledger
 
 	// active registers in-flight simulations so Interrupt can stop
 	// them (checkpointing the ones that support it).
@@ -244,10 +238,9 @@ type Runner struct {
 	testHook func(RunKey)
 }
 
-// NewRunner builds an empty cache of experiment state. A positive
-// Options.MemBudget installs a process-wide retained-memory ledger:
-// the successor-arena pool reserves against it, with pooled arenas
-// evicted largest-first under pressure.
+// NewRunner builds an empty cache of experiment state and sets the
+// process-wide successor-arena pool's cap to Options.MemBudget (0 =
+// uncapped), so a Runner never inherits an earlier Runner's cap.
 func NewRunner(opt Options) *Runner {
 	r := &Runner{
 		opt:    opt,
@@ -258,17 +251,9 @@ func NewRunner(opt Options) *Runner {
 		fig5:   newMemo[string, Fig5Row](),
 		active: make(map[RunKey]activeRun),
 	}
-	if opt.MemBudget > 0 {
-		r.ledger = budget.New(opt.MemBudget)
-		table.SetArenaBudget(r.ledger)
-	}
+	table.SetArenaBudget(opt.MemBudget)
 	return r
 }
-
-// AttachStore gives the runner a checkpoint directory to persist
-// results and mid-flight checkpoints into. Attach before any runs
-// execute.
-func (r *Runner) AttachStore(s *Store) { r.store = s }
 
 // AttachCache gives the runner a persistent result cache to serve
 // completed runs and derived artifacts from (and record new ones
@@ -307,8 +292,8 @@ func (r *Runner) SnapshotRingBytes() uint64 { return 0 }
 // Ops returns (generating once) the op stream of an application.
 // Streams are baseline live memory — the memo holds each for the
 // whole invocation — so they are deliberately outside the -mem-budget
-// ledger, which caps only memory retained *beyond* what a budgetless
-// run would hold (pooled arenas).
+// cap, which bounds only memory retained *beyond* what an uncapped
+// run needs live (pooled arenas).
 func (r *Runner) Ops(app string) []workload.Op {
 	return r.ops.get(app, func() []workload.Op {
 		w, err := workload.ByName(app)
@@ -323,7 +308,7 @@ func (r *Runner) Ops(app string) []workload.Op {
 
 // MissTrace returns (extracting once) the functional L2 miss trace.
 // Like op streams, traces are baseline live memory and stay outside
-// the retention ledger.
+// the -mem-budget cap.
 func (r *Runner) MissTrace(app string) []mem.Line {
 	return r.traces.get(app, func() []mem.Line {
 		cfg := core.DefaultConfig()

@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"ulmt/internal/table"
 	"ulmt/internal/workload"
 )
 
@@ -28,6 +29,23 @@ func TestRunnerMemoizes(t *testing.T) {
 	}
 	if r.NumRows("Mcf") < 2 {
 		t.Error("sizing failed")
+	}
+}
+
+// TestNewRunnerResetsArenaCap proves an uncapped Runner (MemBudget 0)
+// is uncapped even after a capped Runner ran in the same process: a
+// tiny Mcf Repl arena (12 MiB) larger than the earlier 1 MiB cap must
+// still be pooled when its run retires it.
+func TestNewRunnerResetsArenaCap(t *testing.T) {
+	table.FlushArenaPool()
+	t.Cleanup(table.FlushArenaPool)
+	capped := Options{Scale: workload.ScaleTiny, Apps: []string{"Mcf"}, Seed: 1, MemBudget: 1 << 20}
+	NewRunner(capped)
+	uncapped := capped
+	uncapped.MemBudget = 0
+	NewRunner(uncapped).Run("Mcf", CfgRepl)
+	if got := table.PooledArenaBytes(); got <= 1<<20 {
+		t.Fatalf("pooled %d bytes after an uncapped run, want the Repl arena (> 1 MiB) parked", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"ulmt/internal/core"
@@ -12,10 +13,10 @@ import (
 
 // Self-healing execution: every simulation runs under a
 // core.RunControl with panic isolation, bounded retry, a wall-clock
-// watchdog, and (when a Store is attached) crash-safe persistence —
-// completed results are saved as they finish, and an interrupt
-// checkpoints whatever is mid-flight so a later -resume continues
-// instead of restarting.
+// watchdog, and crash-safe persistence — completed results are saved
+// to the cache as they finish, and (with Options.CheckpointDir set)
+// an interrupt checkpoints whatever is mid-flight so a later -resume
+// continues instead of restarting.
 
 // errInterrupted marks a run stopped by Interrupt (SIGINT/SIGTERM via
 // ExecuteAll's context). It is terminal, never retried: the point of
@@ -120,17 +121,6 @@ func (r *Runner) compute(k RunKey) simOutcome {
 			return simOutcome{res: res}
 		}
 	}
-	if r.store != nil && r.opt.Resume {
-		res, ok, err := r.store.LoadResult(k)
-		if ok {
-			r.saveToCache(k, res)
-			return simOutcome{res: res}
-		}
-		if err != nil {
-			// A corrupt result file is re-run, not rendered.
-			fmt.Fprintf(os.Stderr, "ulmtsim: discarding %v; re-running\n", err)
-		}
-	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -141,12 +131,14 @@ func (r *Runner) compute(k RunKey) simOutcome {
 		}
 		res, err := r.attempt(k)
 		if err == nil {
-			r.saveToCache(k, res)
-			if r.store != nil {
-				if serr := r.store.SaveResult(k, res); serr != nil {
-					fmt.Fprintf(os.Stderr, "ulmtsim: persisting %s/%s: %v\n", k.App, k.Label, serr)
-				}
-				r.store.RemoveCheckpoint(k)
+			if r.cache != nil {
+				r.cache.SaveRun(k, res)
+			}
+			if r.opt.CheckpointDir != "" {
+				// After the cache write, so a crash in between still
+				// finds the checkpoint.
+				path, _ := r.checkpointFile(k)
+				os.Remove(path)
 			}
 			return simOutcome{res: res}
 		}
@@ -162,20 +154,32 @@ func (r *Runner) compute(k RunKey) simOutcome {
 	return simOutcome{err: lastErr}
 }
 
-// saveToCache records a completed result in the persistent cache (a
-// no-op without one). Called on every success path — scratch and
-// store-resumed — so a cache attached mid-way through a matrix's
-// history still converges to fully warm.
-func (r *Runner) saveToCache(k RunKey, res core.Results) {
-	if r.cache != nil {
-		r.cache.SaveRun(k, res)
+// checkpointFile names key k's mid-flight checkpoint
+// (<CheckpointDir>/ckpt/<cache address>.ckpt) and returns the stamp
+// it is written with: the run entry's full cache key. Results and
+// checkpoints thus share one identity rule — invocations of any
+// shape can share a directory, and a CacheBehaviorVersion bump
+// retires stale checkpoints (checkpoint.ErrFingerprint) as it does
+// entries.
+func (r *Runner) checkpointFile(k RunKey) (path string, stamp [32]byte) {
+	ref, fp := runRef(k), r.opt.fingerprint()
+	return filepath.Join(r.opt.CheckpointDir, "ckpt", entryAddr(ref, fp)+".ckpt"), entryKey(ref, fp)
+}
+
+// saveCheckpoint writes a checkpointed machine to k's checkpoint
+// file, creating ckpt/ on first use.
+func (r *Runner) saveCheckpoint(sys *core.System, k RunKey) error {
+	path, stamp := r.checkpointFile(k)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
 	}
+	return sys.WriteCheckpoint(path, stamp)
 }
 
 // attempt executes one isolated try of the simulation: panics become
 // errors, the watchdog aborts it past Options.RunTimeout, an
-// interrupt either checkpoints it (support and a store permitting) or
-// aborts it.
+// interrupt either checkpoints it (support and a CheckpointDir
+// permitting) or aborts it.
 func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -196,7 +200,7 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 	}
 	ops := r.Ops(k.App)
 	ctl := &core.RunControl{}
-	checkpointable := r.store != nil && sys.SupportsCheckpoint()
+	checkpointable := r.opt.CheckpointDir != "" && sys.SupportsCheckpoint()
 	r.register(k, activeRun{ctl: ctl, checkpointable: checkpointable})
 	defer r.unregister(k)
 	// Registered first, checked second: whichever order Interrupt and
@@ -210,26 +214,26 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 	}
 
 	var out core.RunOutcome
-	ckptPath := ""
-	if checkpointable {
-		ckptPath = r.store.CheckpointPath(k)
-	}
-	if checkpointable && r.opt.Resume && r.store.HasCheckpoint(k) {
+	resumed := false
+	if checkpointable && r.opt.Resume {
+		path, stamp := r.checkpointFile(k)
 		var rerr error
-		res, out, rerr = sys.ResumeCheckpoint(k.App, ops, ckptPath, r.store.Fingerprint(), ctl)
-		if rerr != nil {
-			// A checkpoint that fails validation must not wedge
-			// recovery: discard it and run from the beginning.
+		res, out, rerr = sys.ResumeCheckpoint(k.App, ops, path, stamp, ctl)
+		resumed = rerr == nil
+		if rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+			// A checkpoint that fails validation — corrupt, or stamped
+			// by another code generation — must not wedge recovery:
+			// discard it and run from the beginning.
 			fmt.Fprintf(os.Stderr, "ulmtsim: discarding checkpoint for %s/%s: %v\n", k.App, k.Label, rerr)
-			r.store.RemoveCheckpoint(k)
+			os.Remove(path)
 			prefetch.RecycleTables(cfg.ULMT)
 			cfg = r.BuildConfig(k.App, k.Label)
 			if sys, err = core.NewSystem(cfg); err != nil {
 				return core.Results{}, err
 			}
-			res, out = sys.RunControlled(k.App, ops, ctl)
 		}
-	} else {
+	}
+	if !resumed {
 		res, out = sys.RunControlled(k.App, ops, ctl)
 	}
 
@@ -240,7 +244,7 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 		r.eventsFired.Add(res.EventsFired)
 		return res, nil
 	case core.RunCheckpointed:
-		if werr := sys.WriteCheckpoint(ckptPath, r.store.Fingerprint()); werr != nil {
+		if werr := r.saveCheckpoint(sys, k); werr != nil {
 			fmt.Fprintf(os.Stderr, "ulmtsim: checkpointing %s/%s: %v\n", k.App, k.Label, werr)
 		}
 		return core.Results{}, errInterrupted

@@ -46,7 +46,7 @@ func (r *Runner) MulticoreMix(n int, withPrefetch bool) (core.MulticoreResults, 
 	base.Kernel = r.opt.Kernel
 	base.CPU.DisableFastPath = r.opt.NoFastPath
 
-	mc := core.MulticoreConfig{Base: base, IntraJ: r.opt.IntraJobs, Ledger: r.ledger}
+	mc := core.MulticoreConfig{Base: base, IntraJ: r.opt.IntraJobs}
 	names := make([]string, 0, n)
 	maxRows := 0
 	for i := 0; i < n; i++ {

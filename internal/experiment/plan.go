@@ -95,8 +95,8 @@ func (r *Runner) PlanRuns(exps []string) []RunKey {
 // synchronize itself.
 //
 // Cancelling ctx interrupts the matrix: in-flight runs checkpoint (if
-// a store is attached and they support it) or abort, queued keys are
-// skipped (each is still counted so accounting completes), and
+// Options.CheckpointDir is set and they support it) or abort, queued
+// keys are skipped (each is still counted so accounting completes), and
 // ExecuteAll returns the context's error once everything has
 // stopped — no run is killed mid-write. Runs that exhaust their retry
 // budget don't stop the matrix; they are reported in the returned

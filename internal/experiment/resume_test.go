@@ -3,12 +3,15 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"ulmt/internal/checkpoint"
 	"ulmt/internal/core"
 	"ulmt/internal/table"
 	"ulmt/internal/workload"
@@ -18,15 +21,23 @@ func resumeOptions() Options {
 	return Options{Scale: workload.ScaleTiny, Apps: []string{"Mcf"}, Seed: 1}
 }
 
-// storeFor opens a store for the options in a fresh temp dir.
-func storeFor(t *testing.T, opt Options) (*Store, string) {
+// checkpointDirRunner builds a runner whose checkpoint directory also
+// roots its result cache, as cmd/ulmtsim sets it up when no
+// -cache-dir is given.
+func checkpointDirRunner(t *testing.T, opt Options, dir string) *Runner {
 	t.Helper()
-	dir := t.TempDir()
-	s, err := OpenStore(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, dir
+	opt.CheckpointDir = dir
+	r := NewRunner(opt)
+	r.AttachCache(openTestCache(t, dir, opt))
+	return r
+}
+
+// checkpointExists reports whether key k has a mid-flight checkpoint
+// on disk.
+func checkpointExists(r *Runner, k RunKey) bool {
+	path, _ := r.checkpointFile(k)
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // TestSweepAliasIdentity proves the identity-alias rule (aliasOf) is
@@ -97,51 +108,75 @@ func TestSweepAliasIdentity(t *testing.T) {
 	}
 }
 
-// TestStoreResultRoundTrip proves persisted results reload exactly —
-// every field, including the histogram and float derivatives — so a
-// resumed invocation renders byte-identical reports.
-func TestStoreResultRoundTrip(t *testing.T) {
-	opt := resumeOptions()
-	r := NewRunner(opt)
-	s, _ := storeFor(t, opt)
+// TestSharedCheckpointDir proves one checkpoint directory serves any
+// invocation shape: seeds 1 and 2 share it without either being
+// served the other's results, their checkpoints get distinct files,
+// and a checkpoint written before a CacheBehaviorVersion bump is
+// discarded and its run recomputed, never resumed.
+func TestSharedCheckpointDir(t *testing.T) {
+	dir := t.TempDir()
 	k := RunKey{App: "Mcf", Label: CfgRepl}
-	res := r.Run(k.App, k.Label)
-	if err := s.SaveResult(k, res); err != nil {
-		t.Fatal(err)
+	optAt := func(seed uint64) Options {
+		opt := resumeOptions()
+		opt.Seed = seed
+		opt.Resume = true
+		return opt
 	}
-	got, ok, err := s.LoadResult(k)
-	if err != nil || !ok {
-		t.Fatalf("LoadResult: ok=%v err=%v", ok, err)
+	r1 := checkpointDirRunner(t, optAt(1), dir)
+	res1 := r1.Run(k.App, k.Label)
+	r2 := checkpointDirRunner(t, optAt(2), dir)
+	res2 := r2.Run(k.App, k.Label)
+	if r2.RunsComputed() != 1 || r2.cache.Hits() != 0 {
+		t.Fatalf("seed 2 computed %d runs with %d cache hits, want 1 and 0", r2.RunsComputed(), r2.cache.Hits())
 	}
-	if !reflect.DeepEqual(got, res) {
-		t.Errorf("stored result round-trip diverges:\n got %+v\nwant %+v", got, res)
+	if reflect.DeepEqual(res1, res2) {
+		t.Fatal("seeds 1 and 2 produced identical results; the test cannot tell them apart")
+	}
+	p1, _ := r1.checkpointFile(k)
+	p2, stamp2 := r2.checkpointFile(k)
+	if p1 == p2 {
+		t.Fatalf("seeds 1 and 2 share the checkpoint path %s", p1)
+	}
+
+	for seed, want := range map[uint64]core.Results{1: res1, 2: res2} {
+		r := checkpointDirRunner(t, optAt(seed), dir)
+		if got := r.Run(k.App, k.Label); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d was served another run's results", seed)
+		}
+		if n := r.RunsComputed(); n != 0 {
+			t.Errorf("seed %d warm replay computed %d runs, want 0", seed, n)
+		}
+	}
+
+	midFlightCheckpoint(t, checkpointDirRunner(t, optAt(2), dir), k, res2)
+	cacheVersion++
+	defer func() { cacheVersion-- }()
+	r := checkpointDirRunner(t, optAt(2), dir)
+	path, stamp := r.checkpointFile(k)
+	if path != p2 || stamp == stamp2 {
+		t.Fatalf("version bump: path moved (%v) or stamp kept (%v); want the same file, a new stamp", path != p2, stamp == stamp2)
+	}
+	if _, err := checkpoint.Load(path, stamp); !errors.Is(err, checkpoint.ErrFingerprint) {
+		t.Fatalf("pre-bump checkpoint under the new stamp: %v, want ErrFingerprint", err)
+	}
+	if got := r.Run(k.App, k.Label); !reflect.DeepEqual(got, res2) {
+		t.Error("run recomputed after a version bump diverges")
+	}
+	if r.RunsComputed() != 1 || r.cache.Hits() != 0 || r.cache.Stale() == 0 {
+		t.Errorf("version bump: computed %d, hits %d, stale %d; want 1, 0 and some", r.RunsComputed(), r.cache.Hits(), r.cache.Stale())
+	}
+	if checkpointExists(r, k) {
+		t.Error("stale checkpoint left in place")
 	}
 }
 
-// TestStoreManifestMismatch proves a checkpoint directory refuses
-// reuse under different options instead of silently mixing results.
-func TestStoreManifestMismatch(t *testing.T) {
-	opt := resumeOptions()
-	_, dir := storeFor(t, opt)
-	other := opt
-	other.Seed = 2
-	if _, err := OpenStore(dir, other); err == nil {
-		t.Fatal("manifest mismatch accepted")
-	}
-	// Same options re-open fine.
-	if _, err := OpenStore(dir, opt); err != nil {
-		t.Fatalf("same-options reopen: %v", err)
-	}
-}
-
-// TestResumeSkipsCompleted runs a matrix with a store, then resumes
-// it in a fresh runner (a new process, effectively): nothing
-// re-simulates and the report bytes are identical.
+// TestResumeSkipsCompleted runs a matrix with a checkpoint directory,
+// then resumes it in a fresh runner (a new process, effectively):
+// nothing re-simulates and the report bytes are identical.
 func TestResumeSkipsCompleted(t *testing.T) {
 	opt := resumeOptions()
-	s, dir := storeFor(t, opt)
-	r1 := NewRunner(opt)
-	r1.AttachStore(s)
+	dir := t.TempDir()
+	r1 := checkpointDirRunner(t, opt, dir)
 	keys := r1.PlanRuns([]string{"fig7"})
 	if err := r1.ExecuteAll(nil, keys, 2, nil); err != nil {
 		t.Fatal(err)
@@ -151,14 +186,8 @@ func TestResumeSkipsCompleted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opt2 := opt
-	opt2.Resume = true
-	s2, err := OpenStore(dir, opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := NewRunner(opt2)
-	r2.AttachStore(s2)
+	opt.Resume = true
+	r2 := checkpointDirRunner(t, opt, dir)
 	if err := r2.ExecuteAll(nil, keys, 2, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +205,8 @@ func TestResumeSkipsCompleted(t *testing.T) {
 
 // midFlightCheckpoint simulates a SIGINT'd run: it stops the key's
 // simulation at a mid-run quiescent point and writes the machine
-// checkpoint where the store expects it.
-func midFlightCheckpoint(t *testing.T, r *Runner, s *Store, k RunKey, want core.Results) {
+// checkpoint where the runner looks for it.
+func midFlightCheckpoint(t *testing.T, r *Runner, k RunKey, want core.Results) {
 	t.Helper()
 	sys, err := core.NewSystem(r.BuildConfig(k.App, k.Label))
 	if err != nil {
@@ -187,7 +216,7 @@ func midFlightCheckpoint(t *testing.T, r *Runner, s *Store, k RunKey, want core.
 	if _, out := sys.RunControlled(k.App, r.Ops(k.App), ctl); out != core.RunCheckpointed {
 		t.Skipf("no quiescent point before completion (outcome %v)", out)
 	}
-	if err := sys.WriteCheckpoint(s.CheckpointPath(k), s.Fingerprint()); err != nil {
+	if err := r.saveCheckpoint(sys, k); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -195,27 +224,31 @@ func midFlightCheckpoint(t *testing.T, r *Runner, s *Store, k RunKey, want core.
 // TestResumeFromMidFlightCheckpoint is the kill-and-resume oracle at
 // the experiment level: a run interrupted at a mid-flight checkpoint
 // and resumed by a fresh runner reports results identical to the
-// uninterrupted run, and the consumed checkpoint is cleaned up.
+// uninterrupted run, the consumed checkpoint is cleaned up, and the
+// finished run is a cache hit for the next invocation.
 func TestResumeFromMidFlightCheckpoint(t *testing.T) {
 	opt := resumeOptions()
 	want := NewRunner(opt).Run("Mcf", CfgRepl)
 
 	opt.Resume = true
-	s, _ := storeFor(t, opt)
-	r := NewRunner(opt)
-	r.AttachStore(s)
+	dir := t.TempDir()
+	r := checkpointDirRunner(t, opt, dir)
 	k := RunKey{App: "Mcf", Label: CfgRepl}
-	midFlightCheckpoint(t, r, s, k, want)
+	midFlightCheckpoint(t, r, k, want)
 
 	got := r.Run(k.App, k.Label)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed run diverges from uninterrupted run:\n got %+v\nwant %+v", got, want)
 	}
-	if s.HasCheckpoint(k) {
+	if checkpointExists(r, k) {
 		t.Error("consumed checkpoint not removed")
 	}
-	if _, ok, err := s.LoadResult(k); err != nil || !ok {
-		t.Errorf("completed resumed run not persisted: ok=%v err=%v", ok, err)
+	next := checkpointDirRunner(t, opt, dir)
+	if got := next.Run(k.App, k.Label); !reflect.DeepEqual(got, want) {
+		t.Error("replayed run diverges from uninterrupted run")
+	}
+	if next.RunsComputed() != 0 || next.cache.Hits() != 1 {
+		t.Errorf("finished resumed run not a cache hit: computed %d, hits %d", next.RunsComputed(), next.cache.Hits())
 	}
 }
 
@@ -227,18 +260,20 @@ func TestResumeDiscardsCorruptCheckpoint(t *testing.T) {
 	want := NewRunner(opt).Run("Mcf", CfgRepl)
 
 	opt.Resume = true
-	s, _ := storeFor(t, opt)
-	r := NewRunner(opt)
-	r.AttachStore(s)
+	r := checkpointDirRunner(t, opt, t.TempDir())
 	k := RunKey{App: "Mcf", Label: CfgRepl}
-	if err := os.WriteFile(s.CheckpointPath(k), []byte("not a checkpoint"), 0o644); err != nil {
+	path, _ := r.checkpointFile(k)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got := r.Run(k.App, k.Label)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("recovery run after corrupt checkpoint diverges")
 	}
-	if s.HasCheckpoint(k) {
+	if checkpointExists(r, k) {
 		t.Error("corrupt checkpoint left in place")
 	}
 }

@@ -42,7 +42,7 @@ func (m *PageMapper) Snapshot(w *checkpoint.Writer) {
 func (m *PageMapper) Restore(r *checkpoint.Reader) {
 	r.Tag("pagemap")
 	m.next = r.U64()
-	n := r.Int()
+	n := r.Count(16) // vpn, pfn
 	if r.Err() != nil {
 		return
 	}
@@ -51,7 +51,7 @@ func (m *PageMapper) Restore(r *checkpoint.Reader) {
 		vpn := r.U64()
 		m.table[vpn] = r.U64()
 	}
-	n = r.Int()
+	n = r.Count(8) // pfn
 	if r.Err() != nil {
 		return
 	}

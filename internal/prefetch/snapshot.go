@@ -158,7 +158,7 @@ func restoreCand(r *checkpoint.Reader) map[mem.Line]int {
 }
 
 func restoreCandSized(r *checkpoint.Reader, capacity int) map[mem.Line]int {
-	n := r.Int()
+	n := r.Count(16) // line, run length
 	if r.Err() != nil {
 		return make(map[mem.Line]int)
 	}

@@ -38,8 +38,7 @@ func (q *Queue) Restore(r *checkpoint.Reader) {
 		e.At = sim.Cycle(r.I64())
 		e.ID = r.U64()
 	}
-	q.head = r.Int()
-	q.n = r.Int()
+	q.head, q.n = r.Ring(len(q.items))
 	q.drops = r.U64()
 }
 
@@ -68,8 +67,7 @@ func (f *Filter) Restore(r *checkpoint.Reader) {
 	for i := range f.fifo {
 		f.fifo[i] = mem.Line(r.U64())
 	}
-	f.head = r.Int()
-	f.n = r.Int()
+	f.head, f.n = r.Ring(len(f.fifo))
 	f.dropped = r.U64()
 	f.passed = r.U64()
 	// The signature array is derived state: rebuild it from the

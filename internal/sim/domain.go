@@ -107,12 +107,6 @@ func (de *DomainEngine) SetWindowCap(c Cycle) { de.cap = c }
 // Workers reports the resolved worker count.
 func (de *DomainEngine) Workers() int { return de.workers }
 
-// ScratchBytes reports the retained size of the engine's own window
-// scratch (the active-domain index list), for budget accounting.
-func (de *DomainEngine) ScratchBytes() int64 {
-	return int64(len(de.doms)) * 8
-}
-
 // Step executes the next schedulable unit — one queue event, one
 // non-stretchable armed occurrence, or one whole window — and reports
 // whether anything remained to execute.

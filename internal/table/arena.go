@@ -5,7 +5,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"ulmt/internal/budget"
 	"ulmt/internal/mem"
 )
 
@@ -30,48 +29,42 @@ import (
 // so code that never recycles sees fresh zeroed allocations, exactly
 // as before.
 //
-// Retention is budgeted: with a budget.Ledger installed via
-// SetArenaBudget, every byte PARKED in the pool is reserved against
-// it. The ledger deliberately tracks only retained memory — bytes the
-// process holds beyond what a budgetless run would — so live arenas
-// (which the simulation needs regardless of any budget) never touch
-// it: a recycled arena's reservation is released the moment it goes
-// live, and a fresh allocation reserves nothing. Parking an arena the
-// ledger cannot afford first evicts LARGER pooled arenas (they are
-// the ones that keep peak heap high) and, if room still cannot be
-// made, drops the arena to the GC instead of retaining it — correct,
-// only slower on the next same-geometry build. Without a ledger the
-// pool is unbounded, exactly the pre-budget behavior.
+// Retention is capped: with a byte cap set via SetArenaBudget, the
+// bytes PARKED in the pool never exceed it. Live arenas (which the
+// simulation needs regardless of any cap) do not count: an arena
+// leaves the count the moment it goes live. Parking an arena that
+// does not fit first evicts LARGER pooled arenas (they are the ones
+// that keep peak heap high), and an arena larger than the cap itself
+// is dropped to the GC instead of retained — correct, only slower on
+// the next same-geometry build. With cap 0 the pool is unbounded.
 var arenaPool struct {
 	mu     sync.Mutex
 	byLen  map[int][][]mem.Line
 	pooled int64 // bytes currently parked in byLen
-	ledger *budget.Ledger
+	cap    int64 // bytes the pool may park; 0 = uncapped
 }
 
-// lineBytes is the ledger accounting unit: the size of one arena word.
+// lineBytes is the accounting unit: the size of one arena word.
 const lineBytes = int64(unsafe.Sizeof(mem.Line(0)))
 
-// SetArenaBudget installs (or, with nil, removes) the retained-memory
-// ledger the arena pool reserves against. The pool registers itself
-// as a reclaimer on the ledger, so any other budgeted subsystem that
-// runs short evicts pooled arenas largest-first. Installing a ledger
-// is process-global, like the pool itself; callers that swap ledgers
-// (tests) should FlushArenaPool first so reservations never straddle
-// two ledgers.
-func SetArenaBudget(l *budget.Ledger) {
+// SetArenaBudget caps the bytes the process-wide pool may park (0 =
+// uncapped), evicting pooled arenas largest-first down to the new
+// cap.
+func SetArenaBudget(capBytes int64) {
 	arenaPool.mu.Lock()
-	arenaPool.ledger = l
-	arenaPool.mu.Unlock()
-	l.AddReclaimer(evictPooled)
+	defer arenaPool.mu.Unlock()
+	arenaPool.cap = capBytes
+	if capBytes > 0 {
+		evictLocked(arenaPool.pooled - capBytes)
+	}
 }
 
-// evictPooled drops pooled arenas, largest length first, until need
-// bytes have been released (or the pool is empty), returning the
-// bytes actually freed. It is the pool's budget.Ledger reclaimer and
-// is also used directly to trim after an over-budget put.
-func evictPooled(need int64) int64 {
-	arenaPool.mu.Lock()
+// evictLocked drops pooled arenas, largest length first, until need
+// bytes have been freed or the pool is empty. The caller holds mu.
+func evictLocked(need int64) {
+	if need <= 0 {
+		return
+	}
 	lengths := make([]int, 0, len(arenaPool.byLen))
 	for n := range arenaPool.byLen {
 		lengths = append(lengths, n)
@@ -94,58 +87,46 @@ func evictPooled(need int64) int64 {
 		}
 	}
 	arenaPool.pooled -= freed
-	ledger := arenaPool.ledger
-	arenaPool.mu.Unlock()
-	ledger.Release(freed)
-	return freed
 }
 
 // newArena returns a zero-length-history arena of exactly n words:
 // recycled when one of that length is pooled, freshly allocated
-// otherwise. Taking a recycled arena live releases its retention
-// reservation; a fresh allocation is live memory the simulation needs
-// either way and reserves nothing.
+// otherwise.
 func newArena(n int) []mem.Line {
 	arenaPool.mu.Lock()
 	if frees := arenaPool.byLen[n]; len(frees) > 0 {
 		a := frees[len(frees)-1]
 		arenaPool.byLen[n] = frees[:len(frees)-1]
 		arenaPool.pooled -= int64(n) * lineBytes
-		ledger := arenaPool.ledger
 		arenaPool.mu.Unlock()
-		ledger.Release(int64(n) * lineBytes)
 		return a
 	}
 	arenaPool.mu.Unlock()
 	return make([]mem.Line, n)
 }
 
+// putArena parks a retired arena if the cap allows, evicting pooled
+// arenas largest-first to make room.
 func putArena(a []mem.Line) {
-	if len(a) == 0 {
+	n := int64(len(a)) * lineBytes
+	arenaPool.mu.Lock()
+	defer arenaPool.mu.Unlock()
+	c := arenaPool.cap
+	if n == 0 || c > 0 && n > c {
 		return
 	}
-	arenaPool.mu.Lock()
-	ledger := arenaPool.ledger
-	arenaPool.mu.Unlock()
-	// Reserve outside the pool lock: making room re-enters the pool
-	// through the eviction reclaimer (which prefers evicting larger
-	// parked arenas over declining this one). A declined reservation
-	// means the budget is better spent on what is already parked —
-	// drop the arena to the GC instead of retaining it.
-	if !ledger.Reserve(int64(len(a)) * lineBytes) {
-		return
+	if c > 0 {
+		evictLocked(arenaPool.pooled + n - c)
 	}
-	arenaPool.mu.Lock()
 	if arenaPool.byLen == nil {
 		arenaPool.byLen = make(map[int][][]mem.Line)
 	}
 	arenaPool.byLen[len(a)] = append(arenaPool.byLen[len(a)], a)
-	arenaPool.pooled += int64(len(a)) * lineBytes
-	arenaPool.mu.Unlock()
+	arenaPool.pooled += n
 }
 
 // PooledArenaBytes reports the bytes currently parked in the pool
-// (not live in any table), for tests and budget accounting.
+// (not live in any table).
 func PooledArenaBytes() int64 {
 	arenaPool.mu.Lock()
 	defer arenaPool.mu.Unlock()
@@ -153,18 +134,14 @@ func PooledArenaBytes() int64 {
 }
 
 // FlushArenaPool drops every pooled arena, releasing the memory to
-// the GC (and its reservation to the installed ledger). Subsequent
-// builds allocate fresh zeroed arenas, which is also what a caller
-// needs before comparing two tables byte-for-byte (a recycled arena
-// carries unobservable stale words).
+// the GC. Subsequent builds allocate fresh zeroed arenas, which is
+// also what a caller needs before comparing two tables byte-for-byte
+// (a recycled arena carries unobservable stale words).
 func FlushArenaPool() {
 	arenaPool.mu.Lock()
-	freed := arenaPool.pooled
 	arenaPool.byLen = nil
 	arenaPool.pooled = 0
-	ledger := arenaPool.ledger
 	arenaPool.mu.Unlock()
-	ledger.Release(freed)
 }
 
 // Recycle returns the table's successor arena to the process-wide
