@@ -66,9 +66,13 @@
 //
 // -fastpath=off disables the CPU model's cycle-skipping fast path
 // (DESIGN.md "Cycle skipping"), forcing every issue cycle and L1-hit
-// completion through the event queue as a cross-checking oracle. The
-// rendered report is byte-identical at either setting; only the
-// host-side event churn and wall clock move.
+// completion through the event queue as a cross-checking oracle. On
+// the single-core machine the rendered report is byte-identical at
+// either setting; only the host-side event churn and wall clock move.
+// A multi-core machine (-exp multicore) is not: a stretch's latched
+// miss resumes as a queue event, which can order same-cycle core
+// steps differently from the oracle (DESIGN.md "Intra-run parallel
+// execution").
 //
 // The sweep's identity points (Sweep/NumLevels=3, Sweep/NumRows*1)
 // build exactly their app's Repl machine, so they reuse the Repl run
@@ -133,7 +137,7 @@ func run() error {
 	appsFlag := flag.String("apps", "", "comma-separated application subset (default: all nine)")
 	seed := flag.Uint64("seed", 1, "page-mapping seed")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
-	fastpathFlag := flag.String("fastpath", "on", "cycle-skipping CPU fast path (on or off); off forces every cycle through the event queue (the equivalence oracle — reports are bit-identical either way)")
+	fastpathFlag := flag.String("fastpath", "on", "cycle-skipping CPU fast path (on or off); off forces every cycle through the event queue (the single-core equivalence oracle: single-core reports are bit-identical either way, -exp multicore reports are not)")
 	faultSpec := flag.String("faults", "off", "fault plan: off, light, heavy, or key=value list (see internal/fault)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the fault plan's pseudo-random schedule")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -104,9 +104,13 @@ func TestWindowEquivalence(t *testing.T) {
 }
 
 // TestWindowEquivalenceOracle pins the windowed fast path against the
-// event-driven oracle inside the same schedule: with DisableFastPath
-// every armed step fires sequentially through the real Memory path,
-// and the machine-visible results must not move.
+// event-driven oracle inside the same schedule on two random streams:
+// with DisableFastPath every armed step fires sequentially through
+// the real Memory path, and the machine-visible results must not
+// move. The equivalence is not general: a stretch's latched miss
+// resumes as a queue event, which wins a same-cycle tie against
+// another core's armed step where the oracle orders the two by core
+// id, so -exp multicore reports do differ between the settings.
 func TestWindowEquivalenceOracle(t *testing.T) {
 	streams := [][]workload.Op{
 		randomOps([]byte("window oracle stream a")),

@@ -86,9 +86,14 @@ type Config struct {
 
 	// DisableFastPath turns off the cycle-skipping fast path
 	// (fast.go) even when the Memory implements FastMemory, forcing
-	// every issue cycle and completion through the event queue. The
-	// two paths are behaviorally identical (the equivalence suites
-	// prove it); this exists as the cross-check oracle.
+	// every issue cycle and completion through the event queue. On a
+	// single core the two paths are behaviorally identical (the
+	// equivalence suites prove it); this exists as the cross-check
+	// oracle. Under the windowed multi-core schedule they are not: a
+	// stretch's latched miss resumes through CommitStretch as a queue
+	// event, queue events win ties against armed steps, and so a core
+	// that stretched ahead can run before another core the oracle
+	// would order first by core id.
 	DisableFastPath bool
 }
 

@@ -76,6 +76,10 @@ func (p *Processor) Restore(r *checkpoint.Reader) {
 	r.Tag("cpu")
 	p.finished = r.Bool()
 	p.pc = r.Int()
+	if p.pc < 0 || p.pc > len(p.ops) {
+		r.Failf("cpu pc %d outside a %d-op stream", p.pc, len(p.ops))
+		return
+	}
 	p.nextLoadID = r.U64()
 	p.lastLoadID = r.U64()
 	p.lastLoadDone = r.Bool()
@@ -90,6 +94,10 @@ func (p *Processor) Restore(r *checkpoint.Reader) {
 		f.id = r.U64()
 		f.opIdx = r.Int()
 		f.done = r.Bool()
+		if f.opIdx < 0 || f.opIdx > p.pc {
+			r.Failf("cpu in-flight load at op %d, pc %d", f.opIdx, p.pc)
+			return
+		}
 	}
 	p.startAt = sim.Cycle(r.I64())
 	p.uptoL2 = sim.Cycle(r.I64())

@@ -59,8 +59,10 @@ type Options struct {
 	// suite; reports are bit-identical across backends.
 	Kernel sim.Kernel
 	// NoFastPath disables the CPU's cycle-skipping fast path for
-	// every run (the -fastpath=off oracle). Reports are bit-identical
-	// either way; only wall clock and event counts move.
+	// every run (the -fastpath=off oracle). Single-core reports are
+	// bit-identical either way; only wall clock and event counts
+	// move. Multi-core reports are not: same-cycle core steps can
+	// order differently (DESIGN.md "Intra-run parallel execution").
 	NoFastPath bool
 
 	// Resume continues runs from the mid-flight checkpoints found

@@ -23,6 +23,19 @@ func linesInto(r *checkpoint.Reader, dst []mem.Line, what string) {
 	}
 }
 
+// countsInto restores successor occupancy counts, each of which
+// bounds a read of a numSucc-wide successor window: a larger count
+// would read the neighbouring row's successors, or past the arena.
+func countsInto(r *checkpoint.Reader, dst []uint8, numSucc int) {
+	r.U8sInto(dst)
+	for i, c := range dst {
+		if int(c) > numSucc {
+			r.Failf("table occupancy %d at %d, %d successors per list", c, i, numSucc)
+			return
+		}
+	}
+}
+
 // Snapshot serializes the packed correlation state: row tags, LRU
 // ticks, validity, occupancy counts, the successor arena, and the
 // last-miss bookkeeping. Geometry comes from the restoring run's
@@ -46,7 +59,7 @@ func (t *BaseTable) Restore(r *checkpoint.Reader) {
 	linesInto(r, t.tags, "tags")
 	r.U64sInto(t.lru)
 	r.BoolsInto(t.valid)
-	r.U8sInto(t.cnt)
+	countsInto(r, t.cnt, t.p.NumSucc)
 	linesInto(r, t.succ, "successor arena")
 	t.lastMiss = mem.Line(r.U64())
 	t.hasLast = r.Bool()
@@ -81,18 +94,23 @@ func (t *ReplTable) Restore(r *checkpoint.Reader) {
 	linesInto(r, t.tags, "tags")
 	r.U64sInto(t.lru)
 	r.BoolsInto(t.valid)
-	r.U8sInto(t.cnt)
+	countsInto(r, t.cnt, t.p.NumSucc)
 	linesInto(r, t.succ, "successor arena")
 	if n := r.Int(); n != len(t.last) && r.Err() == nil {
 		r.Failf("table last-miss pointers %d, configured %d", n, len(t.last))
 		return
 	}
+	sets := t.p.NumRows / t.p.Assoc
 	for i := range t.last {
 		p := &t.last[i]
 		p.set = r.Int()
 		p.way = r.Int()
 		p.tag = mem.Line(r.U64())
 		p.valid = r.Bool()
+		if p.valid && (p.set < 0 || p.set >= sets || p.way < 0 || p.way >= t.p.Assoc) {
+			r.Failf("table last-miss pointer %d at set %d way %d, geometry %d×%d", i, p.set, p.way, sets, t.p.Assoc)
+			return
+		}
 	}
 	t.tick = r.U64()
 	restoreTableStats(r, &t.st)

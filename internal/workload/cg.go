@@ -40,10 +40,11 @@ func (cg) size(s Scale) cgSize {
 	}
 }
 
-func (w cg) Generate(s Scale) []Op {
+func (w cg) Generate(s Scale) []Op { return generate(s, w.build) }
+
+func (w cg) build(s Scale, b *Builder) {
 	sz := w.size(s)
 	r := newRNG(0xC6)
-	b := NewBuilder()
 
 	const f64 = 8
 	const i32 = 4
@@ -116,5 +117,4 @@ func (w cg) Generate(s Scale) []Op {
 			b.Work(8)
 		}
 	}
-	return b.Ops()
 }

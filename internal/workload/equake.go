@@ -39,10 +39,11 @@ func (equake) size(s Scale) equakeSize {
 	}
 }
 
-func (w equake) Generate(s Scale) []Op {
+func (w equake) Generate(s Scale) []Op { return generate(s, w.build) }
+
+func (w equake) build(s Scale, b *Builder) {
 	sz := w.size(s)
 	r := newRNG(0xE9)
-	b := NewBuilder()
 
 	const f64 = 8
 	const i32 = 4
@@ -116,5 +117,4 @@ func (w equake) Generate(s Scale) []Op {
 			b.Work(20)
 		}
 	}
-	return b.Ops()
 }

@@ -37,9 +37,10 @@ func (ft) size(s Scale) ftSize {
 	}
 }
 
-func (w ft) Generate(s Scale) []Op {
+func (w ft) Generate(s Scale) []Op { return generate(s, w.build) }
+
+func (w ft) build(s Scale, b *Builder) {
 	sz := w.size(s)
-	b := NewBuilder()
 
 	const c128 = 16 // complex element
 	nx, ny, nz := sz.nx, sz.ny, sz.nz
@@ -94,5 +95,4 @@ func (w ft) Generate(s Scale) []Op {
 			b.Work(8)
 		}
 	}
-	return b.Ops()
 }

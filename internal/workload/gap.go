@@ -38,10 +38,11 @@ func (gap) size(s Scale) gapSize {
 	}
 }
 
-func (w gap) Generate(s Scale) []Op {
+func (w gap) Generate(s Scale) []Op { return generate(s, w.build) }
+
+func (w gap) build(s Scale, b *Builder) {
 	sz := w.size(s)
 	r := newRNG(0x9A9)
-	b := NewBuilder()
 
 	const i32 = 4
 	d, np := sz.degree, sz.perms
@@ -131,7 +132,6 @@ func (w gap) Generate(s Scale) []Op {
 			}
 		}
 	}
-	return b.Ops()
 }
 
 // identityShuffled returns a random permutation of [0,d).

@@ -47,10 +47,11 @@ const (
 	mcfArcBytes  = 64 // tail, head, cost, flow, next-in-order (line-sized record)
 )
 
-func (w mcf) Generate(s Scale) []Op {
+func (w mcf) Generate(s Scale) []Op { return generate(s, w.build) }
+
+func (w mcf) build(s Scale, b *Builder) {
 	sz := w.size(s)
 	r := newRNG(0x3CF)
-	b := NewBuilder()
 
 	n := sz.nodes
 	m := n * sz.arcsPN
@@ -129,7 +130,6 @@ func (w mcf) Generate(s Scale) []Op {
 			b.Store(nodeAt(i))
 		}
 	}
-	return b.Ops()
 }
 
 func min(a, b int) int {

@@ -48,9 +48,10 @@ const (
 	mstHashNodeBytes = 64 // key, weight, next (line-sized: each node owns its cache line)
 )
 
-func (w mst) Generate(s Scale) []Op {
+func (w mst) Generate(s Scale) []Op { return generate(s, w.build) }
+
+func (w mst) build(s Scale, b *Builder) {
 	sz := w.size(s)
-	b := NewBuilder()
 
 	v := sz.vertices
 	buckets := 32 // hash buckets per vertex, as in Olden's makegraph
@@ -115,5 +116,4 @@ func (w mst) Generate(s Scale) []Op {
 		inTree[best] = true
 		current = best
 	}
-	return b.Ops()
 }

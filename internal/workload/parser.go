@@ -44,10 +44,11 @@ const (
 	parserConnBytes     = 64 // connector set of one dictionary entry
 )
 
-func (w parser) Generate(s Scale) []Op {
+func (w parser) Generate(s Scale) []Op { return generate(s, w.build) }
+
+func (w parser) build(s Scale, b *Builder) {
 	sz := w.size(s)
 	r := newRNG(0x9A25E2)
-	b := NewBuilder()
 
 	vocab := sz.vocab
 	nbuckets := vocab / 2
@@ -112,7 +113,6 @@ func (w parser) Generate(s Scale) []Op {
 			b.Work(12)
 		}
 	}
-	return b.Ops()
 }
 
 // zipf draws a Zipf-ish distributed value in [0, n): rank r with

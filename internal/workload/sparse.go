@@ -42,10 +42,11 @@ func (sparse) size(s Scale) sparseSize {
 	}
 }
 
-func (w sparse) Generate(s Scale) []Op {
+func (w sparse) Generate(s Scale) []Op { return generate(s, w.build) }
+
+func (w sparse) build(s Scale, b *Builder) {
 	sz := w.size(s)
 	r := newRNG(0x59A25E)
-	b := NewBuilder()
 
 	const f64 = 8
 	const i32 = 4
@@ -100,5 +101,4 @@ func (w sparse) Generate(s Scale) []Op {
 			}
 		}
 	}
-	return b.Ops()
 }

@@ -52,10 +52,11 @@ type bhCell struct {
 	mass  float64
 }
 
-func (w tree) Generate(s Scale) []Op {
+func (w tree) Generate(s Scale) []Op { return generate(s, w.build) }
+
+func (w tree) build(s Scale, b *Builder) {
 	sz := w.size(s)
 	r := newRNG(0x7BEE)
-	b := NewBuilder()
 
 	nb := sz.bodies
 	bodies := b.Alloc(nb * treeBodyBytes)
@@ -227,5 +228,4 @@ func (w tree) Generate(s Scale) []Op {
 			b.Work(8)
 		}
 	}
-	return b.Ops()
 }

@@ -192,6 +192,10 @@ type Builder struct {
 	ops     []Op
 	heap    mem.Addr
 	pending int
+	// counting makes the builder count ops into n instead of storing
+	// them: the first of generate's two runs of a kernel body.
+	counting bool
+	n        int
 }
 
 // heapBase leaves page zero unused so that address 0 never appears.
@@ -199,6 +203,20 @@ const heapBase mem.Addr = 1 << 20
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder { return &Builder{heap: heapBase} }
+
+// generate runs a kernel body twice: once counting its ops, then into
+// a stream allocated at exactly that length. Growing the stream by
+// append would copy it about five times into freshly faulted pages,
+// which costs more than a second run of the body. Bodies seed their
+// own RNG and hold no package state, so both runs emit the same ops.
+func generate(s Scale, body func(Scale, *Builder)) []Op {
+	c := &Builder{heap: heapBase, counting: true}
+	body(s, c)
+	c.flushWork()
+	b := &Builder{heap: heapBase, ops: make([]Op, 0, c.n)}
+	body(s, b)
+	return b.Ops()
+}
 
 // Alloc reserves n bytes of simulated memory, 64-byte aligned so
 // arrays start on L2 line boundaries.
@@ -220,13 +238,21 @@ func (b *Builder) AllocAligned(n, align int) mem.Addr {
 // Footprint reports the bytes allocated so far.
 func (b *Builder) Footprint() int { return int(b.heap - heapBase) }
 
+func (b *Builder) emit(op Op) {
+	if b.counting {
+		b.n++
+		return
+	}
+	b.ops = append(b.ops, op)
+}
+
 func (b *Builder) flushWork() {
 	for b.pending > 0 {
 		w := b.pending
 		if w > 60000 {
 			w = 60000
 		}
-		b.ops = append(b.ops, Op{Kind: Compute, Work: uint16(w)})
+		b.emit(Op{Kind: Compute, Work: uint16(w)})
 		b.pending -= w
 	}
 }
@@ -237,20 +263,20 @@ func (b *Builder) Work(n int) { b.pending += n }
 // Load appends an independent load.
 func (b *Builder) Load(a mem.Addr) {
 	b.flushWork()
-	b.ops = append(b.ops, Op{Kind: Load, Addr: a})
+	b.emit(Op{Kind: Load, Addr: a})
 }
 
 // LoadDep appends a load that depends on the most recent load (a
 // pointer chase or index gather).
 func (b *Builder) LoadDep(a mem.Addr) {
 	b.flushWork()
-	b.ops = append(b.ops, Op{Kind: Load, Addr: a, Dep: true})
+	b.emit(Op{Kind: Load, Addr: a, Dep: true})
 }
 
 // Store appends a store.
 func (b *Builder) Store(a mem.Addr) {
 	b.flushWork()
-	b.ops = append(b.ops, Op{Kind: Store, Addr: a})
+	b.emit(Op{Kind: Store, Addr: a})
 }
 
 // Ops finalizes and returns the stream.
