@@ -9,7 +9,7 @@
 //	        [-scale tiny|small|medium|large] [-apps CG,Mcf,...] [-seed N]
 //	        [-j N] [-faults off|light|heavy|k=v,...] [-fault-seed N]
 //	        [-fastpath on|off] [-cores N] [-shards N] [-intra-j N]
-//	        [-checkpoint-dir DIR] [-resume] [-run-timeout D] [-retries N]
+//	        [-run-timeout D] [-retries N]
 //	        [-cache-dir DIR] [-cache on|off] [-mem-budget MIB]
 //	        [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //	        [-gcpercent N] [-memlimit BYTES] [-bench-json FILE]
@@ -36,19 +36,19 @@
 // squeezed out; the pointer-free simulation heap makes the extra GC
 // cycles effectively free.
 //
-// With -checkpoint-dir DIR, SIGINT/SIGTERM checkpoints whatever is
-// mid-flight (at the next quiescent point) into DIR/ckpt before
-// exiting, and completed runs land in the result cache, which lives
-// in DIR unless -cache-dir names another directory. A later
-// invocation replays the completed runs from the cache; with -resume
-// it also continues each checkpointed run exactly where it stopped,
-// and renders a byte-identical report. Checkpoints are named and
-// stamped by their run's cache key, so one directory serves any mix
-// of scales, seeds and fault plans, and a code-behavior version bump
-// discards stale ones. -run-timeout and -retries bound each
-// simulation attempt: a run that panics or exceeds the watchdog is
-// retried with backoff, and only counts as failed once the retry
-// budget is exhausted.
+// SIGINT/SIGTERM during the run matrix aborts the in-flight runs,
+// skips the queued ones and exits without rendering a partial report.
+// Every run that completed before the signal is already in the
+// -cache-dir cache (each is fsynced there before its worker moves
+// on), so rerunning the same command replays those runs and starts
+// over only the ones that were in flight, at most one per -j worker;
+// the report is byte-identical to an uninterrupted run's. Outside the
+// matrix (rendering, and experiments that simulate while rendering,
+// such as -exp multicore), and for a second signal during it, the
+// signal has its default effect and ends the process.
+// -run-timeout and -retries bound each simulation attempt: a run that
+// panics or exceeds the watchdog is retried with backoff, and only
+// counts as failed once the retry budget is exhausted.
 //
 // The profiling flags wrap the whole run in the standard pprof /
 // runtime-trace collectors: -cpuprofile and -trace record while the
@@ -146,15 +146,13 @@ func run() error {
 	gcPercent := flag.Int("gcpercent", -1, "set the host GC target percentage (debug.SetGCPercent); -1 uses 50 when -mem-budget is active, GOGC otherwise")
 	memLimit := flag.Int64("memlimit", 0, "set a soft host heap limit in bytes (debug.SetMemoryLimit); 0 leaves it alone")
 	benchJSON := flag.String("bench-json", "", "write headline run metrics as JSON to this file")
-	ckptDir := flag.String("checkpoint-dir", "", "write mid-flight checkpoints here on SIGINT/SIGTERM, and keep the result cache here unless -cache-dir is given (enables -resume)")
-	resume := flag.Bool("resume", false, "continue runs from the mid-flight checkpoints in -checkpoint-dir instead of restarting them (completed runs replay from the cache either way)")
 	runTimeout := flag.Duration("run-timeout", 0, "per-simulation wall-clock watchdog; a run past it is aborted and retried (0 = off)")
 	retries := flag.Int("retries", 2, "times a panicked or timed-out run is re-attempted before being reported failed")
 	cores := flag.Int("cores", 0, "main-processor count for -exp multicore (0 sweeps 2/4/8)")
 	shards := flag.Int("shards", 0, "correlation-table shards for -exp multicore (0 = private per-core ULMTs, >=1 = one shared table across that many memory threads)")
 	intraJ := flag.Int("intra-j", 1, "intra-run workers advancing one multicore machine's time windows (1 = sequential oracle, 0 = GOMAXPROCS); reports are byte-identical at any value")
 	cacheDir := flag.String("cache-dir", "", "persist completed results and derived artifacts in a content-addressed cache under this directory; later invocations with the same parameters replay from it")
-	cacheFlag := flag.String("cache", "on", "result cache (on or off); off bypasses it entirely, the one under -checkpoint-dir included (the equivalence oracle — reports are bit-identical either way)")
+	cacheFlag := flag.String("cache", "on", "result cache (on or off); off bypasses it entirely (the equivalence oracle — reports are bit-identical either way)")
 	memBudget := flag.Int64("mem-budget", 192, "cap in MiB on the correlation-table arenas retained between simulations (0 = uncapped); peak heap runs about one cap above a retention-free run's baseline")
 	flag.Parse()
 
@@ -244,8 +242,7 @@ func run() error {
 	}
 	opt := experiment.Options{
 		Scale: scale, Seed: *seed, Faults: plan, NoFastPath: !fastpath,
-		Resume: *resume, RunTimeout: *runTimeout, MaxRetries: *retries,
-		Jobs: *jobs, CheckpointDir: *ckptDir,
+		RunTimeout: *runTimeout, MaxRetries: *retries, Jobs: *jobs,
 		Cores: *cores, Shards: *shards, IntraJobs: *intraJ,
 		CacheDir: *cacheDir, NoCache: !cacheOn,
 		MemBudget: memBudgetBytes,
@@ -273,14 +270,8 @@ func run() error {
 		}
 	}
 	r := experiment.NewRunner(opt)
-	// The cache is the only store of completed results, so a
-	// checkpoint directory without a -cache-dir holds them too.
-	resultsDir := *cacheDir
-	if resultsDir == "" {
-		resultsDir = *ckptDir
-	}
-	if resultsDir != "" && cacheOn {
-		cache, err := experiment.OpenCache(resultsDir, opt)
+	if *cacheDir != "" && cacheOn {
+		cache, err := experiment.OpenCache(*cacheDir, opt)
 		if err != nil {
 			return err
 		}
@@ -288,12 +279,14 @@ func run() error {
 	}
 
 	// SIGINT/SIGTERM cancels the run-matrix context: in-flight runs
-	// checkpoint (when -checkpoint-dir is set and the config supports
-	// it) or abort cleanly, queued runs are skipped, and the process
-	// exits without rendering a partial report. A second signal kills
-	// the process the default way.
+	// abort cleanly, queued runs are skipped, and the process exits
+	// without rendering a partial report. The handler is released at
+	// the first signal and again once the matrix is done, so a second
+	// signal, or one during rendering, ends the process the default
+	// way.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
+	context.AfterFunc(ctx, stopSignals)
 
 	hw := newHeapWatch()
 	start := time.Now()
@@ -308,12 +301,13 @@ func run() error {
 		p.finish()
 		if execErr != nil {
 			fmt.Fprintf(os.Stderr, "ulmtsim: runs retried %d, failed %d\n", r.Retried(), r.Failed())
-			if r.Interrupted() && *ckptDir != "" {
-				fmt.Fprintf(os.Stderr, "ulmtsim: state saved under %s; re-run with -resume to continue\n", *ckptDir)
+			if r.Interrupted() && r.Cache() != nil {
+				fmt.Fprintf(os.Stderr, "ulmtsim: completed runs are cached under %s; re-run the same command to continue\n", *cacheDir)
 			}
 			return fmt.Errorf("ulmtsim: %w", execErr)
 		}
 	}
+	stopSignals()
 	// Hash the report as it streams to stdout so -bench-json can
 	// fingerprint exactly what was printed.
 	sum := sha256.New()
@@ -522,7 +516,7 @@ func (p *progress) update(done, total int) {
 	p.last = now
 	elapsed := now.Sub(p.start).Round(100 * time.Millisecond)
 	line := fmt.Sprintf("\rruns %d/%d  elapsed %s", done, total, elapsed)
-	// Both rates guard the denominators: resumed runs complete in
+	// Both rates guard the denominators: cached runs complete in
 	// microseconds, so done > 0 with (rounded or true) zero elapsed is
 	// a real state, not a pathology.
 	if done > 0 && done < total && now.Sub(p.start) > 0 {

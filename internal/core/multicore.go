@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ulmt/internal/bus"
-	"ulmt/internal/checkpoint"
 	"ulmt/internal/cpu"
 	"ulmt/internal/dram"
 	"ulmt/internal/fault"
@@ -123,10 +122,7 @@ type MultiSystem struct {
 	windowed bool
 	de       *sim.DomainEngine
 
-	started   bool
-	finished  []bool
-	finishAt  []sim.Cycle
-	remaining int
+	finishAt []sim.Cycle
 }
 
 // coreDomain adapts one core's processor to sim.Domain. The domain's
@@ -187,7 +183,6 @@ func NewMultiSystem(mc MulticoreConfig) (*MultiSystem, error) {
 		ram:      d,
 		mapper:   mapper,
 		windowed: len(mc.Apps) >= 2,
-		finished: make([]bool, len(mc.Apps)),
 		finishAt: make([]sim.Cycle, len(mc.Apps)),
 	}
 	for i, app := range mc.Apps {
@@ -256,8 +251,7 @@ func (ms *MultiSystem) newCoreProc(i int, ops []workload.Op) *cpu.Processor {
 }
 
 // buildDomains assembles the DomainEngine over the cores, in core-id
-// order (the canonical domain order). Both the fresh-start and the
-// checkpoint-resume paths go through it.
+// order (the canonical domain order).
 func (ms *MultiSystem) buildDomains() {
 	workers := ms.mc.IntraJ
 	if workers == 0 {
@@ -270,29 +264,15 @@ func (ms *MultiSystem) buildDomains() {
 	}
 }
 
-// releaseRun parks the worker pool; every external run entry point
-// defers it.
-func (ms *MultiSystem) releaseRun() {
-	if ms.de != nil {
-		ms.de.Close()
-	}
-}
-
 // start attaches every core's processor and schedules the initial
 // events.
 func (ms *MultiSystem) start() {
-	ms.started = true
-	ms.remaining = len(ms.cores)
 	for i := range ms.cores {
 		s := ms.cores[i]
 		ops := ms.coreOps(i)
 		proc := ms.newCoreProc(i, ops)
 		i := i
-		proc.Start(func() {
-			ms.finished[i] = true
-			ms.finishAt[i] = ms.eng.Now()
-			ms.remaining--
-		})
+		proc.Start(func() { ms.finishAt[i] = ms.eng.Now() })
 		s.scheduleFaultRemaps(ops)
 	}
 	if ms.windowed {
@@ -304,8 +284,8 @@ func (ms *MultiSystem) start() {
 // measurements.
 func (ms *MultiSystem) Run() MulticoreResults {
 	ms.start()
-	defer ms.releaseRun()
 	if ms.windowed {
+		defer ms.de.Close() // parks the worker pool
 		ms.de.Run()
 	} else {
 		ms.eng.Run()
@@ -352,240 +332,4 @@ func (ms *MultiSystem) Quiesced() bool {
 		}
 	}
 	return ms.shards == nil || ms.shards.idle()
-}
-
-// --- Controlled runs and checkpointing ---
-
-// SupportsCheckpoint mirrors System.SupportsCheckpoint for the
-// N-core machine.
-func (ms *MultiSystem) SupportsCheckpoint() bool {
-	for _, s := range ms.cores {
-		if s.faults != nil {
-			return false
-		}
-		if !prefetch.SupportsSnapshot(s.ulmt) {
-			return false
-		}
-	}
-	if ms.shards != nil && !prefetch.SupportsSnapshot(ms.shards.alg) {
-		return false
-	}
-	return true
-}
-
-// checkpointReady reports a machine-wide quiescent point: every
-// unfinished core idle at its step event, every finished core fully
-// drained, and the shard set idle. In the classic loop the event
-// queue holds exactly one step event per unfinished core; in windowed
-// mode steps live in armed registers instead, so quiescence is an
-// empty queue with every unfinished core armed (a window barrier —
-// all cross-domain effects committed, nothing in flight).
-func (ms *MultiSystem) checkpointReady() bool {
-	unfinished := 0
-	for i, s := range ms.cores {
-		if !s.Quiesced() || s.issueBusy || s.ulmtBusy || s.proc == nil {
-			return false
-		}
-		if ms.finished[i] {
-			if !s.proc.Drained() {
-				return false
-			}
-		} else {
-			if !s.proc.Idle() {
-				return false
-			}
-			if ms.windowed {
-				if _, armed := s.proc.Armed(); !armed {
-					return false
-				}
-			}
-			unfinished++
-		}
-	}
-	if ms.shards != nil && !ms.shards.idle() {
-		return false
-	}
-	if ms.windowed {
-		return ms.eng.Pending() == 0
-	}
-	return ms.eng.Pending() == unfinished
-}
-
-// RunControlled executes like Run, polling ctl between events exactly
-// as System.RunControlled does. A nil ctl is Run.
-func (ms *MultiSystem) RunControlled(ctl *RunControl) (MulticoreResults, RunOutcome) {
-	ms.start()
-	defer ms.releaseRun()
-	return ms.runLoop(ctl)
-}
-
-// stepOnce advances the machine by one schedulable unit: one engine
-// event in the classic loop, or one DomainEngine unit (an event, a
-// sequential armed step, or a whole window) when windowed.
-func (ms *MultiSystem) stepOnce() bool {
-	if ms.windowed {
-		return ms.de.Step()
-	}
-	return ms.eng.Step()
-}
-
-func (ms *MultiSystem) runLoop(ctl *RunControl) (MulticoreResults, RunOutcome) {
-	if ctl == nil {
-		if ms.windowed {
-			ms.de.Run()
-		} else {
-			ms.eng.Run()
-		}
-		return ms.collect(), RunFinished
-	}
-	// In windowed mode one step may be a whole window, so the poll
-	// batch shrinks to keep checkpoint/abort latency comparable.
-	pollBatch := 4096
-	if ms.windowed {
-		pollBatch = 1024
-	}
-	for {
-		switch ctl.state.Load() {
-		case ctlAbort:
-			return MulticoreResults{}, RunAborted
-		case ctlCheckpoint:
-			if ms.checkpointReady() {
-				return MulticoreResults{}, RunCheckpointed
-			}
-			if !ms.stepOnce() {
-				return ms.collect(), RunFinished
-			}
-		default:
-			for i := 0; i < pollBatch; i++ {
-				if !ms.stepOnce() {
-					return ms.collect(), RunFinished
-				}
-			}
-			if ctl.CheckpointAfterEvents != 0 && ms.eng.Fired() >= ctl.CheckpointAfterEvents {
-				ctl.RequestCheckpoint()
-			}
-		}
-	}
-}
-
-// CheckpointPayload serializes the whole machine: the shared
-// components once, then each core's private state, then the shard
-// set. Only valid at a quiescent point.
-func (ms *MultiSystem) CheckpointPayload() []byte {
-	if !ms.checkpointReady() {
-		panic("core: multicore checkpoint away from a quiescent point")
-	}
-	if !ms.SupportsCheckpoint() {
-		panic("core: checkpoint of an unsupported multicore configuration")
-	}
-	w := checkpoint.NewWriter()
-	w.Tag("multicore")
-	now, seq, fired := ms.eng.SnapshotState()
-	w.I64(int64(now))
-	w.U64(seq)
-	w.U64(fired)
-	w.Int(len(ms.cores))
-	ms.mapper.Snapshot(w)
-	ms.fsb.Snapshot(w)
-	ms.ram.Snapshot(w)
-	for i, s := range ms.cores {
-		w.Bool(ms.finished[i])
-		w.I64(int64(ms.finishAt[i]))
-		var stepAt sim.Cycle
-		if !ms.finished[i] {
-			stepAt = s.proc.NextStepAt()
-		}
-		w.I64(int64(stepAt))
-		s.snapshotCore(w)
-	}
-	w.Bool(ms.shards != nil)
-	if ms.shards != nil {
-		ms.shards.snapshot(w)
-	}
-	return w.Bytes()
-}
-
-// WriteCheckpoint atomically writes the machine's state to path.
-func (ms *MultiSystem) WriteCheckpoint(path string, fingerprint [32]byte) error {
-	return checkpoint.Save(path, fingerprint, ms.CheckpointPayload())
-}
-
-// ResumeCheckpoint loads the checkpoint at path into this freshly
-// constructed machine and continues the run.
-func (ms *MultiSystem) ResumeCheckpoint(path string, fingerprint [32]byte, ctl *RunControl) (MulticoreResults, RunOutcome, error) {
-	payload, err := checkpoint.Load(path, fingerprint)
-	if err != nil {
-		return MulticoreResults{}, RunAborted, err
-	}
-	return ms.ResumePayload(payload, ctl)
-}
-
-// ResumePayload restores a CheckpointPayload into this never-started
-// machine and continues; the continuation is bit-identical to the
-// uninterrupted run.
-func (ms *MultiSystem) ResumePayload(payload []byte, ctl *RunControl) (MulticoreResults, RunOutcome, error) {
-	if !ms.SupportsCheckpoint() {
-		return MulticoreResults{}, RunAborted, fmt.Errorf("core: this multicore configuration does not support checkpoints")
-	}
-	if ms.started {
-		return MulticoreResults{}, RunAborted, fmt.Errorf("core: resume into an already-started machine")
-	}
-	ms.started = true
-	r := checkpoint.NewReader(payload)
-	r.Tag("multicore")
-	now := sim.Cycle(r.I64())
-	seq := r.U64()
-	fired := r.U64()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return MulticoreResults{}, RunAborted, fmt.Errorf("core: restore: %w", err)
-	}
-	if n != len(ms.cores) {
-		return MulticoreResults{}, RunAborted, fmt.Errorf("core: checkpoint has %d cores, machine has %d", n, len(ms.cores))
-	}
-	ms.mapper.Restore(r)
-	ms.fsb.Restore(r)
-	ms.ram.Restore(r)
-	stepAts := make([]sim.Cycle, len(ms.cores))
-	for i, s := range ms.cores {
-		ms.finished[i] = r.Bool()
-		ms.finishAt[i] = sim.Cycle(r.I64())
-		stepAts[i] = sim.Cycle(r.I64())
-		ms.newCoreProc(i, ms.coreOps(i))
-		s.restoreCore(r)
-	}
-	hasShards := r.Bool()
-	if r.Err() == nil && hasShards != (ms.shards != nil) {
-		r.Failf("shard set presence %v, configured %v", hasShards, ms.shards != nil)
-	}
-	if ms.shards != nil && r.Err() == nil {
-		ms.shards.restore(r)
-	}
-	if err := r.Err(); err != nil {
-		return MulticoreResults{}, RunAborted, fmt.Errorf("core: restore: %w", err)
-	}
-	ms.remaining = 0
-	ms.eng.RestoreState(now, seq, fired)
-	for i, s := range ms.cores {
-		if ms.finished[i] {
-			continue
-		}
-		if stepAts[i] < now {
-			return MulticoreResults{}, RunAborted, fmt.Errorf("core %d: restore: step event at %d before clock %d", i, stepAts[i], now)
-		}
-		ms.remaining++
-		i := i
-		s.proc.SetOnDone(func() {
-			ms.finished[i] = true
-			ms.finishAt[i] = ms.eng.Now()
-			ms.remaining--
-		})
-		s.proc.ResumeAt(stepAts[i])
-	}
-	if ms.windowed {
-		ms.buildDomains()
-	}
-	defer ms.releaseRun()
-	res, out := ms.runLoop(ctl)
-	return res, out, nil
 }

@@ -332,67 +332,6 @@ func TestMulticoreBusNoOverlap(t *testing.T) {
 	}
 }
 
-// TestMulticoreCheckpointResume is the kill-and-resume oracle for the
-// replicated machine: a 2-core sharded run stopped mid-flight at a
-// quiescent point, serialized, restored into a fresh machine and
-// continued must agree with the uninterrupted run in every field.
-func TestMulticoreCheckpointResume(t *testing.T) {
-	w, err := workload.ByName("Mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams := [][]workload.Op{
-		w.Generate(workload.ScaleTiny),
-		randomOps([]byte("checkpoint second core stream")),
-	}
-	mk := func() MulticoreConfig { return shardedConfig(streams, 2, false) }
-
-	ms, err := NewMultiSystem(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ms.SupportsCheckpoint() {
-		t.Fatal("sharded Repl machine should support checkpoints")
-	}
-	want := ms.Run()
-	if want.EventsFired < 1000 {
-		t.Fatalf("baseline fired only %d events", want.EventsFired)
-	}
-
-	for _, frac := range []float64{0.25, 0.5, 0.75} {
-		ctl := &RunControl{CheckpointAfterEvents: uint64(float64(want.EventsFired) * frac)}
-		sys, err := NewMultiSystem(mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, out := sys.RunControlled(ctl)
-		if out == RunFinished {
-			if !reflect.DeepEqual(res, want) {
-				t.Fatalf("frac %.2f: finished-run results diverge", frac)
-			}
-			continue
-		}
-		if out != RunCheckpointed {
-			t.Fatalf("frac %.2f: outcome %v", frac, out)
-		}
-		payload := sys.CheckpointPayload()
-		fresh, err := NewMultiSystem(mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, out2, err := fresh.ResumePayload(payload, nil)
-		if err != nil {
-			t.Fatalf("frac %.2f: resume: %v", frac, err)
-		}
-		if out2 != RunFinished {
-			t.Fatalf("frac %.2f: resumed outcome %v", frac, out2)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frac %.2f: resumed results diverge:\n got %+v\nwant %+v", frac, got, want)
-		}
-	}
-}
-
 // FuzzShardDelivery feeds arbitrary machine shapes and op mixes to
 // the sharded machine and checks the delivery contract: every
 // observation a core stages is delivered to the shard set exactly

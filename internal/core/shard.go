@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"ulmt/internal/checkpoint"
 	"ulmt/internal/dram"
 	"ulmt/internal/fault"
 	"ulmt/internal/mem"
@@ -111,7 +109,7 @@ type shardSet struct {
 	// burst of staged misses costs one event, not one per miss.
 	pendingDeliver []bool
 	// inFlight counts scheduled deposit events not yet fired, for the
-	// checkpoint idle test.
+	// idle test.
 	inFlight int
 
 	// seq numbers every accepted push globally; sessSeen indexes the
@@ -392,9 +390,9 @@ func (ss *shardSet) cancelPush(l mem.Line, core int) bool {
 }
 
 // idle reports whether the shard set has no scheduled events and no
-// queued pushes — the multi-core checkpoint quiescence condition.
-// Staged observations live in each core's queue 2 and are covered by
-// the per-core Quiesced test.
+// queued pushes, the shard half of MultiSystem.Quiesced. Staged
+// observations live in each core's queue 2 and are covered by the
+// per-core Quiesced test.
 func (ss *shardSet) idle() bool {
 	if ss.inFlight != 0 {
 		return false
@@ -437,104 +435,4 @@ func (ss *shardSet) perShard() []stats.ULMTStats {
 		out[i] = ss.shards[i].mp.Stats()
 	}
 	return out
-}
-
-// snapshot/restore serialize the shard set at an idle point: the
-// shared algorithm once, then each shard's memory thread, private
-// DRAM channel, busy horizon and push ring. Push rings are plain data
-// (no pointers), so unlike bus traffic they may cross a checkpoint;
-// idle() still requires them empty only because a queued push implies
-// a core will soon issue it, which the per-core quiescence already
-// forbids — the codec keeps them for robustness.
-func (ss *shardSet) snapshot(w *checkpoint.Writer) {
-	w.Tag("shards")
-	w.Int(len(ss.shards))
-	w.U64(ss.seq)
-	w.U64(ss.sessSeen)
-	prefetch.SnapshotAlg(w, ss.alg)
-	for i := range ss.shards {
-		sh := &ss.shards[i]
-		sh.mp.Snapshot(w)
-		sh.ram.Snapshot(w)
-		w.I64(int64(sh.freeAt))
-		w.Int(len(sh.q3))
-		for _, e := range sh.q3 {
-			w.U64(uint64(e.line))
-			w.Int(e.core)
-			w.U64(e.seq)
-		}
-	}
-	w.Int(len(ss.attrib))
-	for _, a := range ss.attrib {
-		w.U64(a.LocalEmits)
-		w.U64(a.CrossEmits)
-		w.U64(a.RowTakeovers)
-	}
-	// Row-owner map, in sorted key order so the payload bytes are a
-	// pure function of state.
-	w.Int(len(ss.owner))
-	keys := make([]uint64, 0, len(ss.owner))
-	for k := range ss.owner {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		w.U64(k)
-		w.Int(int(ss.owner[k]))
-	}
-}
-
-func (ss *shardSet) restore(r *checkpoint.Reader) {
-	r.Tag("shards")
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if n != len(ss.shards) {
-		r.Failf("checkpoint has %d shards, machine has %d", n, len(ss.shards))
-		return
-	}
-	ss.seq = r.U64()
-	ss.sessSeen = r.U64()
-	prefetch.RestoreAlg(r, ss.alg)
-	for i := range ss.shards {
-		sh := &ss.shards[i]
-		sh.mp.Restore(r)
-		sh.ram.Restore(r)
-		sh.freeAt = sim.Cycle(r.I64())
-		k := r.Count(24) // line, core, seq
-		if r.Err() != nil {
-			return
-		}
-		if k > ss.q3cap {
-			r.Failf("implausible shard push-ring depth %d", k)
-			return
-		}
-		sh.q3 = sh.q3[:0]
-		for j := 0; j < k; j++ {
-			e := shardPush{line: mem.Line(r.U64()), core: r.Int(), seq: r.U64()}
-			sh.q3 = append(sh.q3, e)
-		}
-	}
-	na := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if na != len(ss.attrib) {
-		r.Failf("checkpoint attributes %d cores, machine has %d", na, len(ss.attrib))
-		return
-	}
-	for i := range ss.attrib {
-		ss.attrib[i].LocalEmits = r.U64()
-		ss.attrib[i].CrossEmits = r.U64()
-		ss.attrib[i].RowTakeovers = r.U64()
-	}
-	no := r.Count(16) // row key, core
-	if r.Err() != nil {
-		return
-	}
-	ss.owner = make(map[uint64]int32, no)
-	for j := 0; j < no; j++ {
-		ss.owner[r.U64()] = int32(r.Int())
-	}
 }

@@ -306,7 +306,7 @@ func (s *System) Run(app string, ops []workload.Op) Results {
 }
 
 // startRun attaches the processor and schedules the initial events.
-// Shared by Run and the controlled/resumable variants (checkpoint.go).
+// Shared by Run and RunControlled (control.go).
 func (s *System) startRun(ops []workload.Op) {
 	proc, err := cpu.New(s.eng, s.cfg.CPU, s, ops)
 	if err != nil {

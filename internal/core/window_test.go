@@ -132,68 +132,6 @@ func TestWindowEquivalenceOracle(t *testing.T) {
 	}
 }
 
-// TestWindowedCheckpointResume is the barrier-cut kill-and-resume
-// test at -intra-j > 1: a parallel windowed run checkpointed at a
-// window barrier must resume — on a parallel machine again — into
-// results byte-identical to the uninterrupted run.
-func TestWindowedCheckpointResume(t *testing.T) {
-	w, err := workload.ByName("Mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams := [][]workload.Op{
-		w.Generate(workload.ScaleTiny),
-		randomOps([]byte("windowed checkpoint second core")),
-	}
-	mk := func() MulticoreConfig {
-		mc := shardedConfig(streams, 2, false)
-		mc.IntraJ = 3
-		return mc
-	}
-
-	ms, err := NewMultiSystem(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ms.Run()
-	if want.EventsFired < 1000 {
-		t.Fatalf("baseline fired only %d events", want.EventsFired)
-	}
-
-	for _, frac := range []float64{0.3, 0.6, 0.9} {
-		ctl := &RunControl{CheckpointAfterEvents: uint64(float64(want.EventsFired) * frac)}
-		sys, err := NewMultiSystem(mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, out := sys.RunControlled(ctl)
-		if out == RunFinished {
-			if !reflect.DeepEqual(res, want) {
-				t.Fatalf("frac %.2f: finished-run results diverge", frac)
-			}
-			continue
-		}
-		if out != RunCheckpointed {
-			t.Fatalf("frac %.2f: outcome %v", frac, out)
-		}
-		payload := sys.CheckpointPayload()
-		fresh, err := NewMultiSystem(mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, out2, err := fresh.ResumePayload(payload, nil)
-		if err != nil {
-			t.Fatalf("frac %.2f: resume: %v", frac, err)
-		}
-		if out2 != RunFinished {
-			t.Fatalf("frac %.2f: resumed outcome %v", frac, out2)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frac %.2f: resumed results diverge:\n got %+v\nwant %+v", frac, got, want)
-		}
-	}
-}
-
 // TestShardAttribConservation sanity-checks the cross-core
 // attribution counters on a correlated mix (Mcf repeats its miss
 // stream, so the table learns and emits): emits are attributed, the

@@ -163,11 +163,8 @@ type Processor struct {
 	blockOnID  uint64
 	paused     bool
 
-	// stepAt records the due cycle of the most recently scheduled step
-	// self-event. At a quiescent point that event is the processor's
-	// only pending one, so a multi-core checkpoint (where the engine's
-	// global NextAt mixes every core's events) reads each core's resume
-	// point from here instead of from the engine.
+	// stepAt is the due cycle of the armed step register in windowed
+	// mode, which the DomainEngine reads through Armed (window.go).
 	stepAt sim.Cycle
 
 	startAt  sim.Cycle
@@ -239,13 +236,6 @@ func (p *Processor) Start(onDone func()) {
 	p.scheduleStep(0)
 }
 
-// SetOnDone installs the finish callback without scheduling anything.
-// The checkpoint-resume path uses it in place of Start: Restore
-// rebuilds the processor state and ResumeAt re-creates its pending
-// event, but the finish notification is a live closure that cannot
-// cross the checkpoint and must be re-attached.
-func (p *Processor) SetOnDone(onDone func()) { p.onDone = onDone }
-
 // The processor's typed self-events.
 const (
 	// kindStep is an issue-cycle tick.
@@ -275,9 +265,8 @@ const (
 // out of the shared queue is what makes the schedule worker-count
 // independent.
 func (p *Processor) scheduleStep(d sim.Cycle) {
-	p.stepAt = p.eng.Now() + d
 	if p.windowed {
-		p.armed = true
+		p.armed, p.stepAt = true, p.eng.Now()+d
 		return
 	}
 	p.eng.ScheduleAfter(d, p, kindStep, sim.Event{})

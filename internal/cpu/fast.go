@@ -133,7 +133,6 @@ func (p *Processor) fastRun() {
 				p.eng.AdvanceTo(now)
 				p.flushRing()
 				if hasStep {
-					p.stepAt = stepAt
 					p.eng.Schedule(stepAt, p, kindStep, sim.Event{})
 				}
 				return

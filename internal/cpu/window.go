@@ -32,7 +32,7 @@ import (
 // is why -intra-j N is byte-identical to -intra-j 1.
 
 // SetWindowed switches the processor to windowed step scheduling.
-// Must be called before Start or ResumeAt.
+// Must be called before Start.
 func (p *Processor) SetWindowed() { p.windowed = true }
 
 // windowMem swaps a windowed core's FastMemory probe for the

@@ -19,10 +19,12 @@ import (
 // from scratch; with a Cache attached, a completed run's Results are
 // written once under a content-derived name and every later
 // invocation that asks for the same work replays it from disk. The
-// cache is the only store of completed results: resuming an
-// interrupted invocation replays its finished runs from here, and
-// its mid-flight checkpoints are named by the same addresses
-// (Runner.checkpointFile). One directory serves any mix of scales,
+// cache is the only store of completed results and the only thing
+// that carries work across an interrupt: each completed run is
+// fsynced here before its worker takes the next key, so rerunning an
+// interrupted invocation over the same directory replays every
+// finished run and starts over only the runs that were in flight (at
+// most one per worker). One directory serves any mix of scales,
 // seeds, fault plans and app subsets, because the identity of each
 // entry is a digest of everything that could change its bytes:
 //

@@ -46,8 +46,8 @@ func renderCached(t *testing.T, opt Options, jobs int, dir string) ([]byte, *Run
 
 // TestCacheRunRoundTrip proves a cached run reloads exactly — every
 // field of core.Results, including the histogram and float
-// derivatives — through a freshly opened cache, so a replayed or
-// resumed invocation renders byte-identical reports.
+// derivatives — through a freshly opened cache, so a replayed
+// invocation renders byte-identical reports.
 func TestCacheRunRoundTrip(t *testing.T) {
 	opt := Options{Scale: workload.ScaleTiny, Apps: []string{"Mcf"}, Seed: 1}
 	dir := t.TempDir()

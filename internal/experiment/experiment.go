@@ -65,10 +65,6 @@ type Options struct {
 	// order differently (DESIGN.md "Intra-run parallel execution").
 	NoFastPath bool
 
-	// Resume continues runs from the mid-flight checkpoints found
-	// under CheckpointDir instead of restarting them (the -resume
-	// flag). Completed runs need no flag: they replay from the cache.
-	Resume bool
 	// RunTimeout, if positive, bounds each simulation attempt's wall
 	// clock; a run past it is aborted and retried.
 	RunTimeout time.Duration
@@ -84,11 +80,6 @@ type Options struct {
 	// means a caller forgot to set it, and silently running serial
 	// (or worse, GOMAXPROCS) hides the bug.
 	Jobs int
-	// CheckpointDir is where an interrupted run's mid-flight
-	// checkpoint is written, as ckpt/<cache address>.ckpt (the
-	// -checkpoint-dir flag; "" disables). cmd/ulmtsim also roots the
-	// result cache there when no CacheDir is given.
-	CheckpointDir string
 	// Cores is the main-processor count for the multicore experiment
 	// (the -cores flag; 0 sweeps the default 2/4/8 ladder).
 	Cores int
@@ -128,9 +119,8 @@ func (o Options) apps() []string {
 
 // Validate reports the first error in the options: an application
 // name outside the workload registry (with the valid names listed),
-// an out-of-range scale, a worker count below 1, a resume request
-// with nowhere to resume from, or a negative count, duration or
-// budget.
+// an out-of-range scale, a worker count below 1, or a negative
+// count, duration or budget.
 // Runner methods assume validated options; cmd/ulmtsim calls this
 // before building a Runner so a bad flag exits with a clear message
 // instead of being silently defaulted or panicking mid-experiment.
@@ -146,9 +136,6 @@ func (o Options) Validate() error {
 	}
 	if o.Jobs < 1 {
 		return fmt.Errorf("experiment: -j must be >= 1, got %d", o.Jobs)
-	}
-	if o.Resume && o.CheckpointDir == "" {
-		return fmt.Errorf("experiment: -resume needs -checkpoint-dir")
 	}
 	if o.MaxRetries < 0 {
 		return fmt.Errorf("experiment: -retries must be >= 0, got %d", o.MaxRetries)
@@ -215,10 +202,10 @@ type Runner struct {
 	// artifacts across invocations (cache.go) and records new ones.
 	cache *Cache
 
-	// active registers in-flight simulations so Interrupt can stop
-	// them (checkpointing the ones that support it).
+	// active registers in-flight simulations so Interrupt can abort
+	// them.
 	mu          sync.Mutex
-	active      map[RunKey]activeRun
+	active      map[RunKey]*core.RunControl
 	interrupted atomic.Bool
 
 	// computed counts simulations actually executed (cache misses of
@@ -251,7 +238,7 @@ func NewRunner(opt Options) *Runner {
 		rows:   newMemo[string, sizing](),
 		runs:   newMemo[RunKey, simOutcome](),
 		fig5:   newMemo[string, Fig5Row](),
-		active: make(map[RunKey]activeRun),
+		active: make(map[RunKey]*core.RunControl),
 	}
 	table.SetArenaBudget(opt.MemBudget)
 	return r

@@ -3,8 +3,6 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"ulmt/internal/core"
@@ -12,11 +10,12 @@ import (
 )
 
 // Self-healing execution: every simulation runs under a
-// core.RunControl with panic isolation, bounded retry, a wall-clock
-// watchdog, and crash-safe persistence — completed results are saved
-// to the cache as they finish, and (with Options.CheckpointDir set)
-// an interrupt checkpoints whatever is mid-flight so a later -resume
-// continues instead of restarting.
+// core.RunControl with panic isolation, bounded retry and a
+// wall-clock watchdog, and a completed run is written durably to the
+// result cache before its worker takes the next key. An interrupt
+// aborts the in-flight runs, so a later invocation over the same
+// cache directory replays every completed run and starts only those
+// over.
 
 // errInterrupted marks a run stopped by Interrupt (SIGINT/SIGTERM via
 // ExecuteAll's context). It is terminal, never retried: the point of
@@ -32,27 +31,15 @@ type simOutcome struct {
 	err error
 }
 
-// activeRun is a registry entry for an in-flight simulation, the
-// handle Interrupt uses to stop it (checkpointing when it can).
-type activeRun struct {
-	ctl            *core.RunControl
-	checkpointable bool
-}
-
-// Interrupt stops the matrix: in-flight runs that can checkpoint are
-// asked to stop at their next quiescent point (attempt writes the
-// checkpoint), the rest are aborted, and not-yet-started keys are
-// skipped. ExecuteAll wires this to its context's cancellation.
+// Interrupt stops the matrix: in-flight runs are aborted and
+// not-yet-started keys are skipped. ExecuteAll wires this to its
+// context's cancellation.
 func (r *Runner) Interrupt() {
 	r.interrupted.Store(true)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, a := range r.active {
-		if a.checkpointable {
-			a.ctl.RequestCheckpoint()
-		} else {
-			a.ctl.Abort()
-		}
+	for _, ctl := range r.active {
+		ctl.Abort()
 	}
 }
 
@@ -65,9 +52,9 @@ func (r *Runner) Interrupted() bool { return r.interrupted.Load() }
 func (r *Runner) Retried() uint64 { return r.retried.Load() }
 func (r *Runner) Failed() uint64  { return r.failed.Load() }
 
-func (r *Runner) register(k RunKey, a activeRun) {
+func (r *Runner) register(k RunKey, ctl *core.RunControl) {
 	r.mu.Lock()
-	r.active[k] = a
+	r.active[k] = ctl
 	r.mu.Unlock()
 }
 
@@ -109,9 +96,9 @@ func (r *Runner) outcome(k RunKey) simOutcome {
 	})
 }
 
-// compute runs one simulation with resume, retry and persistence
-// around it. It runs at most once per key (single-flight memo) and its
-// attempts are strictly sequential.
+// compute runs one simulation with retry and persistence around it.
+// It runs at most once per key (single-flight memo) and its attempts
+// are strictly sequential.
 func (r *Runner) compute(k RunKey) simOutcome {
 	// The persistent cache is consulted first: a hit replays the exact
 	// Results a previous invocation computed (same behavior version,
@@ -134,12 +121,6 @@ func (r *Runner) compute(k RunKey) simOutcome {
 			if r.cache != nil {
 				r.cache.SaveRun(k, res)
 			}
-			if r.opt.CheckpointDir != "" {
-				// After the cache write, so a crash in between still
-				// finds the checkpoint.
-				path, _ := r.checkpointFile(k)
-				os.Remove(path)
-			}
 			return simOutcome{res: res}
 		}
 		if errors.Is(err, errInterrupted) {
@@ -154,32 +135,9 @@ func (r *Runner) compute(k RunKey) simOutcome {
 	return simOutcome{err: lastErr}
 }
 
-// checkpointFile names key k's mid-flight checkpoint
-// (<CheckpointDir>/ckpt/<cache address>.ckpt) and returns the stamp
-// it is written with: the run entry's full cache key. Results and
-// checkpoints thus share one identity rule — invocations of any
-// shape can share a directory, and a CacheBehaviorVersion bump
-// retires stale checkpoints (checkpoint.ErrFingerprint) as it does
-// entries.
-func (r *Runner) checkpointFile(k RunKey) (path string, stamp [32]byte) {
-	ref, fp := runRef(k), r.opt.fingerprint()
-	return filepath.Join(r.opt.CheckpointDir, "ckpt", entryAddr(ref, fp)+".ckpt"), entryKey(ref, fp)
-}
-
-// saveCheckpoint writes a checkpointed machine to k's checkpoint
-// file, creating ckpt/ on first use.
-func (r *Runner) saveCheckpoint(sys *core.System, k RunKey) error {
-	path, stamp := r.checkpointFile(k)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return sys.WriteCheckpoint(path, stamp)
-}
-
 // attempt executes one isolated try of the simulation: panics become
-// errors, the watchdog aborts it past Options.RunTimeout, an
-// interrupt either checkpoints it (support and a CheckpointDir
-// permitting) or aborts it.
+// errors, the watchdog aborts it past Options.RunTimeout, and an
+// interrupt aborts it.
 func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -192,16 +150,15 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 	cfg := r.BuildConfig(k.App, k.Label)
 	// The config's correlation table is this attempt's largest
 	// allocation; retire it for the next same-geometry build once the
-	// machine is done with it (all results and checkpoints written).
-	defer func() { prefetch.RecycleTables(cfg.ULMT) }()
+	// machine is done with it.
+	defer prefetch.RecycleTables(cfg.ULMT)
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return core.Results{}, err
 	}
 	ops := r.Ops(k.App)
 	ctl := &core.RunControl{}
-	checkpointable := r.opt.CheckpointDir != "" && sys.SupportsCheckpoint()
-	r.register(k, activeRun{ctl: ctl, checkpointable: checkpointable})
+	r.register(k, ctl)
 	defer r.unregister(k)
 	// Registered first, checked second: whichever order Interrupt and
 	// this attempt race in, the run is stopped or never started.
@@ -213,45 +170,15 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 		defer t.Stop()
 	}
 
-	var out core.RunOutcome
-	resumed := false
-	if checkpointable && r.opt.Resume {
-		path, stamp := r.checkpointFile(k)
-		var rerr error
-		res, out, rerr = sys.ResumeCheckpoint(k.App, ops, path, stamp, ctl)
-		resumed = rerr == nil
-		if rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-			// A checkpoint that fails validation — corrupt, or stamped
-			// by another code generation — must not wedge recovery:
-			// discard it and run from the beginning.
-			fmt.Fprintf(os.Stderr, "ulmtsim: discarding checkpoint for %s/%s: %v\n", k.App, k.Label, rerr)
-			os.Remove(path)
-			prefetch.RecycleTables(cfg.ULMT)
-			cfg = r.BuildConfig(k.App, k.Label)
-			if sys, err = core.NewSystem(cfg); err != nil {
-				return core.Results{}, err
-			}
-		}
-	}
-	if !resumed {
-		res, out = sys.RunControlled(k.App, ops, ctl)
-	}
-
-	switch out {
-	case core.RunFinished:
+	res, out := sys.RunControlled(k.App, ops, ctl)
+	if out == core.RunFinished {
 		res.Label = k.Label
 		r.computed.Add(1)
 		r.eventsFired.Add(res.EventsFired)
 		return res, nil
-	case core.RunCheckpointed:
-		if werr := r.saveCheckpoint(sys, k); werr != nil {
-			fmt.Fprintf(os.Stderr, "ulmtsim: checkpointing %s/%s: %v\n", k.App, k.Label, werr)
-		}
-		return core.Results{}, errInterrupted
-	default: // core.RunAborted
-		if r.interrupted.Load() {
-			return core.Results{}, errInterrupted
-		}
-		return core.Results{}, fmt.Errorf("run %s/%s exceeded the %s watchdog", k.App, k.Label, r.opt.RunTimeout)
 	}
+	if r.interrupted.Load() {
+		return core.Results{}, errInterrupted
+	}
+	return core.Results{}, fmt.Errorf("run %s/%s exceeded the %s watchdog", k.App, k.Label, r.opt.RunTimeout)
 }

@@ -273,12 +273,6 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{Jobs: -3}).Validate(); err == nil {
 		t.Error("negative worker count accepted")
 	}
-	if err := (Options{Jobs: 1, Resume: true}).Validate(); err == nil {
-		t.Error("-resume without -checkpoint-dir accepted")
-	}
-	if err := (Options{Jobs: 1, Resume: true, CheckpointDir: "d"}).Validate(); err != nil {
-		t.Errorf("resume with checkpoint dir rejected: %v", err)
-	}
 	if err := (Options{Jobs: 1, Cores: -1}).Validate(); err == nil {
 		t.Error("negative core count accepted")
 	}

@@ -94,11 +94,11 @@ func (r *Runner) PlanRuns(exps []string) []RunKey {
 // total); it may be called from many goroutines at once and must
 // synchronize itself.
 //
-// Cancelling ctx interrupts the matrix: in-flight runs checkpoint (if
-// Options.CheckpointDir is set and they support it) or abort, queued
+// Cancelling ctx interrupts the matrix: in-flight runs abort, queued
 // keys are skipped (each is still counted so accounting completes), and
 // ExecuteAll returns the context's error once everything has
-// stopped — no run is killed mid-write. Runs that exhaust their retry
+// stopped — no run is killed mid-write, and every run that completed
+// is already in the attached cache. Runs that exhaust their retry
 // budget don't stop the matrix; they are reported in the returned
 // error after all keys have been visited.
 //

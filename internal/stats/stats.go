@@ -6,6 +6,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -102,6 +103,37 @@ func (h *Histogram) String() string {
 		fmt.Fprintf(&b, "%s=%.1f%%", bin.Label, bin.Frac*100)
 	}
 	return b.String()
+}
+
+// histogramJSON is the exported wire form of Histogram for the
+// experiment runner's result cache. Counts are exact integers, so a
+// marshal/unmarshal round trip reproduces the histogram bit-for-bit.
+type histogramJSON struct {
+	Edges  []int64  `json:"edges"`
+	Counts []uint64 `json:"counts"`
+	Total  uint64   `json:"total"`
+}
+
+// MarshalJSON lets a Histogram survive the Results JSON round trip
+// despite its unexported fields.
+func (h *Histogram) MarshalJSON() ([]byte, error) {
+	return json.Marshal(histogramJSON{Edges: h.edges, Counts: h.counts, Total: h.total})
+}
+
+// UnmarshalJSON restores a Histogram persisted by MarshalJSON.
+func (h *Histogram) UnmarshalJSON(data []byte) error {
+	var j histogramJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	if len(j.Counts) != len(j.Edges) {
+		return fmt.Errorf("stats: histogram with %d edges needs %d counts, got %d",
+			len(j.Edges), len(j.Edges), len(j.Counts))
+	}
+	h.edges = j.Edges
+	h.counts = j.Counts
+	h.total = j.Total
+	return nil
 }
 
 // PrefetchOutcomes is the Fig 9 breakdown. All counts are in units of

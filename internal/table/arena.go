@@ -18,11 +18,7 @@ import (
 // that lets Reset leave the arena untouched: every successor read is
 // bounded by the per-row occupancy counts (cnt), which a recycled
 // table starts with zeroed, so stale words beyond cnt are never
-// observable through the table's API. The snapshot codec does
-// serialize the full arena, so two checkpoints of behaviorally
-// identical tables may differ in their unreachable bytes — the
-// restored table is still behaviorally identical, which is what every
-// resume oracle compares.
+// observable through the table's API.
 //
 // The pool only fills through explicit Recycle calls (the experiment
 // runner retires a machine's tables once its results are extracted),
