@@ -8,9 +8,9 @@
 //	ulmtsim [-exp all|table1..table5|fig5..fig11|ablation|sweep|faults|multicore]
 //	        [-scale tiny|small|medium|large] [-apps CG,Mcf,...] [-seed N]
 //	        [-j N] [-faults off|light|heavy|k=v,...] [-fault-seed N]
-//	        [-fastpath on|off] [-cores N] [-shards N] [-intra-j N]
+//	        [-cores N] [-shards N] [-intra-j N]
 //	        [-run-timeout D] [-retries N]
-//	        [-cache-dir DIR] [-cache on|off] [-mem-budget MIB]
+//	        [-cache-dir DIR] [-mem-budget MIB]
 //	        [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //	        [-gcpercent N] [-memlimit BYTES] [-bench-json FILE]
 //
@@ -22,9 +22,9 @@
 // parameters replays from disk instead of simulating, rendering a
 // byte-identical report in seconds; entries written by a different
 // scale, seed, fault plan or code generation are never served
-// (they're counted as stale and recomputed). -cache=off bypasses the
-// cache as an equivalence oracle. The footer reports hits, misses and
-// stale entries.
+// (they're counted as stale and recomputed). Omitting -cache-dir
+// simulates everything, the equivalence oracle for a warm cache. The
+// footer reports hits, misses and stale entries.
 //
 // -mem-budget caps the bytes the recycled correlation-table arena
 // pool retains between simulations (default 192 MiB, 0 = uncapped):
@@ -63,16 +63,6 @@
 // writes those numbers plus a SHA-256 of the report to FILE for
 // machine-readable perf tracking (see BENCH_ulmt.json at the
 // repository root).
-//
-// -fastpath=off disables the CPU model's cycle-skipping fast path
-// (DESIGN.md "Cycle skipping"), forcing every issue cycle and L1-hit
-// completion through the event queue as a cross-checking oracle. On
-// the single-core machine the rendered report is byte-identical at
-// either setting; only the host-side event churn and wall clock move.
-// A multi-core machine (-exp multicore) is not: a stretch's latched
-// miss resumes as a queue event, which can order same-cycle core
-// steps differently from the oracle (DESIGN.md "Intra-run parallel
-// execution").
 //
 // The sweep's identity points (Sweep/NumLevels=3, Sweep/NumRows*1)
 // build exactly their app's Repl machine, so they reuse the Repl run
@@ -137,7 +127,6 @@ func run() error {
 	appsFlag := flag.String("apps", "", "comma-separated application subset (default: all nine)")
 	seed := flag.Uint64("seed", 1, "page-mapping seed")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
-	fastpathFlag := flag.String("fastpath", "on", "cycle-skipping CPU fast path (on or off); off forces every cycle through the event queue (the single-core equivalence oracle: single-core reports are bit-identical either way, -exp multicore reports are not)")
 	faultSpec := flag.String("faults", "off", "fault plan: off, light, heavy, or key=value list (see internal/fault)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the fault plan's pseudo-random schedule")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -152,7 +141,6 @@ func run() error {
 	shards := flag.Int("shards", 0, "correlation-table shards for -exp multicore (0 = private per-core ULMTs, >=1 = one shared table across that many memory threads)")
 	intraJ := flag.Int("intra-j", 1, "intra-run workers advancing one multicore machine's time windows (1 = sequential oracle, 0 = GOMAXPROCS); reports are byte-identical at any value")
 	cacheDir := flag.String("cache-dir", "", "persist completed results and derived artifacts in a content-addressed cache under this directory; later invocations with the same parameters replay from it")
-	cacheFlag := flag.String("cache", "on", "result cache (on or off); off bypasses it entirely (the equivalence oracle — reports are bit-identical either way)")
 	memBudget := flag.Int64("mem-budget", 192, "cap in MiB on the correlation-table arenas retained between simulations (0 = uncapped); peak heap runs about one cap above a retention-free run's baseline")
 	flag.Parse()
 
@@ -222,30 +210,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var fastpath bool
-	switch *fastpathFlag {
-	case "on":
-		fastpath = true
-	case "off":
-		fastpath = false
-	default:
-		return fmt.Errorf("ulmtsim: -fastpath must be on or off, got %q", *fastpathFlag)
-	}
-	var cacheOn bool
-	switch *cacheFlag {
-	case "on":
-		cacheOn = true
-	case "off":
-		cacheOn = false
-	default:
-		return fmt.Errorf("ulmtsim: -cache must be on or off, got %q", *cacheFlag)
-	}
 	opt := experiment.Options{
-		Scale: scale, Seed: *seed, Faults: plan, NoFastPath: !fastpath,
+		Scale: scale, Seed: *seed, Faults: plan,
 		RunTimeout: *runTimeout, MaxRetries: *retries, Jobs: *jobs,
 		Cores: *cores, Shards: *shards, IntraJobs: *intraJ,
-		CacheDir: *cacheDir, NoCache: !cacheOn,
-		MemBudget: memBudgetBytes,
+		CacheDir: *cacheDir, MemBudget: memBudgetBytes,
 	}
 	if plan != nil {
 		opt.FaultTag = *faultSpec
@@ -270,7 +239,7 @@ func run() error {
 		}
 	}
 	r := experiment.NewRunner(opt)
-	if *cacheDir != "" && cacheOn {
+	if *cacheDir != "" {
 		cache, err := experiment.OpenCache(*cacheDir, opt)
 		if err != nil {
 			return err
@@ -326,8 +295,7 @@ func run() error {
 	// Host footer: how the simulator itself behaved, not the simulated
 	// machine. Kept off the hashed report body and easy to strip
 	// (single "# host:" prefix) so report diffs across runs stay clean.
-	// Events fired + rate make cycle-skip effectiveness visible per
-	// run: the report is identical at any -fastpath, the churn is not.
+	// Events fired + rate show the host-side event churn per run.
 	events := r.EventsFired()
 	rate := "0"
 	if s := wall.Seconds(); s > 0 {
@@ -364,7 +332,6 @@ func run() error {
 			GCCycles:     m.gcCycles,
 			GCPauseMs:    float64(m.gcPauseNs) / 1e6,
 			EventsFired:  events,
-			Fastpath:     fastpath,
 			AliasedRuns:  r.ForkedRuns(),
 			ScratchRuns:  r.ScratchRuns(),
 			Cache:        r.Cache() != nil,
@@ -399,7 +366,6 @@ type benchRecord struct {
 	GCCycles     uint32  `json:"gc_cycles"`
 	GCPauseMs    float64 `json:"gc_pause_ms"`
 	EventsFired  uint64  `json:"events_fired"`
-	Fastpath     bool    `json:"fastpath"`
 	AliasedRuns  uint64  `json:"aliased_runs"`
 	ScratchRuns  uint64  `json:"scratch_runs"`
 	Cache        bool    `json:"cache"`
@@ -494,10 +460,14 @@ type progress struct {
 	start time.Time
 	last  time.Time
 	total int
-	wrote bool
+	// done is the latest completed count, shown is the one on screen:
+	// throttling can skip the last update before an interrupt, and
+	// finish then prints it.
+	done, shown int
+	wrote       bool
 	// events snapshots the engine events fired so far across
 	// completed and in-flight runs (Runner.EventsFired), so the line
-	// shows cycle-skip effectiveness live.
+	// shows the simulator's event throughput live.
 	events func() uint64
 }
 
@@ -509,11 +479,18 @@ func newProgress(w *os.File, total int, events func() uint64) *progress {
 func (p *progress) update(done, total int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.done = max(p.done, done)
 	now := time.Now()
-	if done < total && now.Sub(p.last) < 100*time.Millisecond {
+	if p.done < total && now.Sub(p.last) < 100*time.Millisecond {
 		return
 	}
-	p.last = now
+	p.render(now)
+}
+
+// render prints the line for the latest count; the caller holds mu.
+func (p *progress) render(now time.Time) {
+	done, total := p.done, p.total
+	p.last, p.shown = now, done
 	elapsed := now.Sub(p.start).Round(100 * time.Millisecond)
 	line := fmt.Sprintf("\rruns %d/%d  elapsed %s", done, total, elapsed)
 	// Both rates guard the denominators: cached runs complete in
@@ -533,10 +510,14 @@ func (p *progress) update(done, total int) {
 	p.wrote = true
 }
 
-// finish terminates the progress line so the report starts cleanly.
+// finish prints a count the throttle held back, then terminates the
+// progress line so the report starts cleanly.
 func (p *progress) finish() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.done != p.shown {
+		p.render(time.Now())
+	}
 	if p.wrote {
 		fmt.Fprintln(p.w)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -34,5 +35,28 @@ func TestMiBToBytes(t *testing.T) {
 		if want := fmt.Sprintf("got %d", mib); !strings.Contains(err.Error(), want) {
 			t.Errorf("mibToBytes(%d) error %q does not report the MiB value", mib, err)
 		}
+	}
+}
+
+// TestProgressFinishShowsLastCount interrupts a matrix between two
+// throttled updates: the second count never reached the screen, so
+// finish must print it rather than leave the first on the line.
+func TestProgressFinishShowsLastCount(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p := newProgress(f, 10, func() uint64 { return 0 })
+	p.update(1, 10)
+	p.update(2, 10) // inside the throttle window
+	p.finish()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\r")
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "runs 2/10") {
+		t.Errorf("progress ends with %q, want runs 2/10", last)
 	}
 }

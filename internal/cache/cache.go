@@ -218,8 +218,8 @@ func (c *Cache) Access(l mem.Line, write bool) LookupResult {
 // accounting) and reports ok; if not, it touches nothing — no access
 // or miss is counted — so the caller can fall back to a path whose
 // Access performs the one canonical miss accounting. It exists for
-// the CPU's cycle-skipping fast path, where Contains-then-Access
-// would walk the set twice per retired op.
+// the multi-core machine's windowed stretches, where
+// Contains-then-Access would walk the set twice per retired op.
 func (c *Cache) Probe(l mem.Line, write bool) (LookupResult, bool) {
 	si := c.setIndex(l)
 	base := int(si) * c.cfg.Assoc
@@ -381,9 +381,6 @@ func (c *Cache) AllocMSHR(l mem.Line, prefetch bool) (id int, ok bool) {
 	}
 	return -1, false
 }
-
-// MSHR returns the entry at id for inspection.
-func (c *Cache) MSHR(id int) MSHR { return c.mshrs[id] }
 
 // StealMSHR converts the MSHR of a pending demand miss into a
 // prefetch-satisfied one: the arriving pushed line "simply steals the

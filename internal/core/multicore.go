@@ -131,8 +131,6 @@ type MultiSystem struct {
 type coreDomain struct{ p *cpu.Processor }
 
 func (d coreDomain) ArmedAt() (sim.Cycle, bool) { return d.p.Armed() }
-func (d coreDomain) Stretchable() bool          { return d.p.CanStretch() }
-func (d coreDomain) FireArmed()                 { d.p.FireArmedStep() }
 func (d coreDomain) Stretch(h sim.Cycle)        { d.p.RunStretch(h) }
 func (d coreDomain) Commit()                    { d.p.CommitStretch() }
 
@@ -243,8 +241,7 @@ func (ms *MultiSystem) newCoreProc(i int, ops []workload.Op) *cpu.Processor {
 		panic(err)
 	}
 	if ms.windowed {
-		proc.SetWindowed()
-		proc.SetWindowProbe(s.windowProbeL1)
+		proc.SetWindowed(s.windowProbeL1)
 	}
 	s.proc = proc
 	return proc

@@ -88,9 +88,9 @@ type Results struct {
 
 	// EventsFired is the number of engine events this run executed —
 	// a host-side measure of event churn, not of simulated behavior.
-	// The cycle-skipping fast path legitimately changes it (skipped
-	// cycles fire no events), so it is excluded from every golden
-	// digest and equivalence comparison.
+	// A change to how work is scheduled (a multi-core stretch retires
+	// issue steps without events, say) legitimately moves it, so it is
+	// excluded from every golden digest and equivalence comparison.
 	EventsFired uint64
 }
 

@@ -373,35 +373,22 @@ func (s *System) Load(a mem.Addr, id uint64, done cpu.Completer) { s.access(a, f
 // fetches the line like a load before dirtying it.
 func (s *System) Store(a mem.Addr, id uint64, done cpu.Completer) { s.access(a, true, id, done) }
 
-// ProbeL1 implements cpu.FastMemory, the synchronous L1 lookup of the
-// cycle-skipping fast path. On a hit it performs exactly the cache
-// work the event-driven hit path does — cache.Probe applies Access's
-// demand-hit effects, so LRU, dirty bits and statistics move
-// identically — and reports the L1 round trip; the caller retires
-// the access inline and no Load/Store follows. On a miss it touches
-// nothing (Probe counts neither an access nor a miss then): the
-// caller falls back to Load/Store, whose access() performs the single
-// canonical miss lookup, observes it for the processor-side
-// prefetcher, and takes an MSHR. Translate is first-touch-idempotent,
-// so probing it twice is harmless.
-func (s *System) ProbeL1(va mem.Addr, write bool) (sim.Cycle, bool) {
-	pa := s.mapper.Translate(va)
-	if _, ok := s.l1.Probe(mem.LineOf(pa, s.cfg.L1.Line), write); !ok {
-		return 0, false
-	}
-	return s.cfg.L1HitRT, true
-}
-
-// windowProbeL1 is the stretch-safe ProbeL1 variant installed on
-// windowed multicore processors (cpu.SetWindowProbe). It may run
-// concurrently with other cores' stretches, so the shared page mapper
-// is consulted strictly read-only (Lookup: no frame allocation, no
-// TLB fill); the L1 it mutates on a hit is this core's own. An
-// unmapped page reports a miss: the stretch hands over and the
-// sequential resume path performs the canonical first-touch through
-// Translate — including the corner where a fault-plan Remap recycled
-// a frame under a still-resident L1 line, which both the windowed and
-// the oracle schedule then resolve identically through access().
+// windowProbeL1 is the synchronous L1 lookup installed on windowed
+// multicore processors (cpu.SetWindowed). On a hit it performs
+// exactly the cache work the event-driven hit path does — cache.Probe
+// applies Access's demand-hit effects, so LRU, dirty bits and
+// statistics move identically — and reports the L1 round trip; the
+// stretch retires the access inline and no Load/Store follows. On a
+// miss it touches nothing (Probe counts neither an access nor a miss
+// then): the stretch hands over and access() performs the single
+// canonical miss lookup. It may run concurrently with other cores'
+// stretches, so the shared page mapper is consulted strictly
+// read-only (Lookup: no frame allocation, no TLB fill); the L1 it
+// mutates on a hit is this core's own. An unmapped page reports a
+// miss, and the sequential resume path performs the canonical
+// first-touch through Translate — including the corner where a
+// fault-plan Remap recycled a frame under a still-resident L1 line,
+// which access() then resolves.
 func (s *System) windowProbeL1(va mem.Addr, write bool) (sim.Cycle, bool) {
 	pa, ok := s.mapper.Lookup(va)
 	if !ok {

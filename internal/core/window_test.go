@@ -103,35 +103,6 @@ func TestWindowEquivalence(t *testing.T) {
 	}
 }
 
-// TestWindowEquivalenceOracle pins the windowed fast path against the
-// event-driven oracle inside the same schedule on two random streams:
-// with DisableFastPath every armed step fires sequentially through
-// the real Memory path, and the machine-visible results must not
-// move. The equivalence is not general: a stretch's latched miss
-// resumes as a queue event, which wins a same-cycle tie against
-// another core's armed step where the oracle orders the two by core
-// id, so -exp multicore reports do differ between the settings.
-func TestWindowEquivalenceOracle(t *testing.T) {
-	streams := [][]workload.Op{
-		randomOps([]byte("window oracle stream a")),
-		randomOps([]byte("window oracle stream b")),
-	}
-	want := runMC(t, shardedConfig(streams, 2, false))
-	mc := shardedConfig(streams, 2, false)
-	mc.Base.CPU.DisableFastPath = true
-	got := runMC(t, mc)
-	// The oracle fires each issue cycle as its own occurrence, so the
-	// engine event counts legitimately differ; everything the machine
-	// computes must not.
-	got.EventsFired = want.EventsFired
-	for i := range got.Cores {
-		got.Cores[i].EventsFired = want.Cores[i].EventsFired
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("event-driven windowed oracle diverges:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // TestShardAttribConservation sanity-checks the cross-core
 // attribution counters on a correlated mix (Mcf repeats its miss
 // stream, so the table learns and emits): emits are attributed, the

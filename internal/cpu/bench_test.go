@@ -7,35 +7,22 @@ import (
 )
 
 // BenchmarkProcessorL1Hits measures the processor retiring an
-// L1-hit-dominated stream with the cycle-skipping fast path against
-// the event-driven oracle. The fast path's win is exactly here: runs
-// of hits and compute never touch the event queue.
+// L1-hit-dominated stream through the event queue: one issue-step
+// event per cycle and one completion event per hit.
 func BenchmarkProcessorL1Hits(b *testing.B) {
 	ops := randomOps(1, 50000)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"fastpath", false},
-		{"eventwheel", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.DisableFastPath = mode.disable
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng := sim.NewEngine()
-				p, err := New(eng, cfg, &fastFakeMem{newFakeMem(eng)}, ops)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.Start(nil)
-				eng.Run()
-				if !p.Finished() {
-					b.Fatal("processor did not finish")
-				}
-			}
-			b.ReportMetric(float64(len(ops)), "ops/run")
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		p, err := New(eng, DefaultConfig(), newFakeMem(eng), ops)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Start(nil)
+		eng.Run()
+		if !p.Finished() {
+			b.Fatal("processor did not finish")
+		}
 	}
+	b.ReportMetric(float64(len(ops)), "ops/run")
 }

@@ -58,20 +58,6 @@ type Memory interface {
 	Store(a mem.Addr, id uint64, done Completer)
 }
 
-// FastMemory extends Memory with a synchronous L1 probe, enabling the
-// cycle-skipping fast path (fast.go). ProbeL1 answers "would this
-// access hit the L1, and with what round trip?" without scheduling
-// anything. On a hit it must apply exactly the cache-state and
-// statistics effects the asynchronous path would (LRU touch, dirty
-// bit, hit counters) — the caller retires the access inline and no
-// Load/Store follows. On a miss it must leave all state untouched
-// and count nothing: the caller falls back to Load/Store, whose
-// lookup performs the one canonical miss accounting.
-type FastMemory interface {
-	Memory
-	ProbeL1(a mem.Addr, write bool) (rt sim.Cycle, hit bool)
-}
-
 // storeIDFlag marks a request id as a store completion. Load ids are
 // a simple counter and never reach the flag bit within any feasible
 // simulation length.
@@ -83,18 +69,6 @@ type Config struct {
 	MaxPendingLoads  int // outstanding loads (paper: 8)
 	MaxPendingStores int // outstanding stores (paper: 16)
 	Window           int // ROB-like run-ahead bound, in ops
-
-	// DisableFastPath turns off the cycle-skipping fast path
-	// (fast.go) even when the Memory implements FastMemory, forcing
-	// every issue cycle and completion through the event queue. On a
-	// single core the two paths are behaviorally identical (the
-	// equivalence suites prove it); this exists as the cross-check
-	// oracle. Under the windowed multi-core schedule they are not: a
-	// stretch's latched miss resumes through CommitStretch as a queue
-	// event, queue events win ties against armed steps, and so a core
-	// that stretched ahead can run before another core the oracle
-	// would order first by core id.
-	DisableFastPath bool
 }
 
 // DefaultConfig matches Table 3's main processor.
@@ -151,13 +125,6 @@ type Processor struct {
 	inflight     []inflightLoad
 	inflightHead int
 
-	// fastMem is non-nil when the Memory supports synchronous L1
-	// probes and the fast path is enabled; ring/ringHead buffer
-	// locally retired completions awaiting their due cycle (fast.go).
-	fastMem  FastMemory
-	ring     []fastDone
-	ringHead int
-
 	blocked    blockReason
 	blockStart sim.Cycle
 	blockOnID  uint64
@@ -191,14 +158,17 @@ type Processor struct {
 	// Windowed (domain) execution mode, used by the multi-core
 	// machine's conservative time windows (window.go): issue-cycle
 	// steps arm a register instead of entering the event queue, and
-	// stretches — private fast-path advances that may run concurrently
-	// with other cores' — probe the hierarchy through the windowMem
-	// wrapper installed by SetWindowProbe, a strictly read-only
-	// translation variant. Kept at the tail of the struct so the
-	// single-core machine's hot fields keep their cache layout.
-	windowed   bool
-	armed      bool
-	stretching bool
+	// stretches — private advances that may run concurrently with
+	// other cores' — probe the L1 through the read-only probe
+	// installed by SetWindowed and buffer L1-hit completions in
+	// ring/ringHead until their due cycle. Kept at the tail of the
+	// struct so the single-core machine's hot fields keep their cache
+	// layout.
+	windowed bool
+	armed    bool
+	probe    func(a mem.Addr, write bool) (rt sim.Cycle, hit bool)
+	ring     []stretchDone
+	ringHead int
 
 	// Stretch exit latches (window.go): a mid-cycle L1 miss or stream
 	// retirement observed inside a stretch cannot touch the engine (it
@@ -219,13 +189,7 @@ func New(eng *sim.Engine, cfg Config, m Memory, ops []workload.Op) (*Processor, 
 	if cfg.Window < cfg.MaxPendingLoads {
 		cfg.Window = cfg.MaxPendingLoads * 8
 	}
-	p := &Processor{eng: eng, cfg: cfg, mem: m, ops: ops, lastLoadDone: true}
-	if !cfg.DisableFastPath {
-		if fm, ok := m.(FastMemory); ok {
-			p.fastMem = fm
-		}
-	}
-	return p, nil
+	return &Processor{eng: eng, cfg: cfg, mem: m, ops: ops, lastLoadDone: true}, nil
 }
 
 // Start schedules execution; onDone fires when the last op and all
@@ -240,20 +204,20 @@ func (p *Processor) Start(onDone func()) {
 const (
 	// kindStep is an issue-cycle tick.
 	kindStep sim.Kind = iota
-	// kindDone is a locally retired L1-hit completion the fast path
-	// rematerialized into the queue on exit: I0 = request id (with
-	// storeIDFlag for stores). It behaves exactly like the memory
-	// system's own completion event for an L1 hit.
+	// kindDone is an L1-hit completion a stretch retired locally and
+	// CommitStretch rematerialized into the queue: I0 = request id
+	// (with storeIDFlag for stores). It behaves exactly like the
+	// memory system's own completion event for an L1 hit.
 	kindDone
-	// kindMissResume is the windowed image of exitOnMiss's handoff: a
-	// stretch that hit an L1 miss at cycle C with `issued` slots
-	// already consumed commits this event at C (I0 = issued), and the
-	// remainder of the issue cycle runs through the event-driven path
-	// on the engine clock.
+	// kindMissResume is a stretch's L1-miss handoff: a stretch that
+	// hit an L1 miss at cycle C with `issued` slots already consumed
+	// commits this event at C (I0 = issued), and the remainder of the
+	// issue cycle runs through the event-driven path on the engine
+	// clock.
 	kindMissResume
-	// kindFinish is the windowed image of fastMaybeFinish: the stream
-	// fully retired inside a stretch, and the finish callback must run
-	// on the engine clock at the retirement cycle.
+	// kindFinish is a stretch's retirement handoff: the stream fully
+	// retired inside a stretch, and the finish callback must run on
+	// the engine clock at the retirement cycle.
 	kindFinish
 )
 
@@ -280,15 +244,11 @@ func (p *Processor) Fire(kind sim.Kind, ev sim.Event) {
 	case kindMissResume:
 		// The engine clock sits at the miss cycle; rerun the rest of
 		// the issue cycle (starting with the missing op) through the
-		// event-driven path, exactly as exitOnMiss would have inline.
+		// event-driven path.
 		p.issueFrom(int(ev.I0))
 	case kindFinish:
 		p.maybeFinish()
 	default: // kindStep
-		if p.fastMem != nil {
-			p.fastRun()
-			return
-		}
 		p.step()
 	}
 }
@@ -312,9 +272,6 @@ func (p *Processor) Resume() {
 	// issue loop as usual.
 }
 
-// Paused reports whether the processor is preempted.
-func (p *Processor) Paused() bool { return p.paused }
-
 // step runs one issue cycle: up to IssueWidth ops, stopping at a
 // compute op (which advances time by its Work) or a hazard.
 func (p *Processor) step() {
@@ -329,8 +286,8 @@ func (p *Processor) step() {
 
 // issueFrom runs the rest of an issue cycle through the event-driven
 // path, starting with `issued` slots already consumed. It is the body
-// of step, split out so the fast path can hand over mid-cycle at its
-// first L1 miss (exitOnMiss) without perturbing issue-width
+// of step, split out so a stretch can hand over mid-cycle at its
+// first L1 miss (kindMissResume) without perturbing issue-width
 // accounting.
 func (p *Processor) issueFrom(issued int) {
 	for issued < p.cfg.IssueWidth && p.pc < len(p.ops) {

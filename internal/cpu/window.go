@@ -3,6 +3,7 @@ package cpu
 import (
 	"ulmt/internal/mem"
 	"ulmt/internal/sim"
+	"ulmt/internal/workload"
 )
 
 // Windowed execution: the per-core half of the multi-core machine's
@@ -12,10 +13,10 @@ import (
 // queue: scheduleStep arms a register (armed/stepAt) that the
 // DomainEngine reads through Armed. When the engine opens a window
 // [ts, H) — H bounded by the earliest pending queue event — every
-// armed core whose step falls inside it runs a *stretch*: the same
-// tight loop as fastRun, but entirely off the engine clock, so
-// stretches of different cores may run on different goroutines
-// concurrently.
+// armed core whose step falls inside it runs a *stretch*: a tight
+// loop over the core's issue steps and L1-hit completions, entirely
+// off the engine clock, so stretches of different cores may run on
+// different goroutines concurrently.
 //
 // A stretch is safe to run concurrently because it is confined to the
 // core's private closed subsystem: compute retirement, L1-hit probes
@@ -30,57 +31,40 @@ import (
 // core id first among armed steps", is the canonical schedule: it is
 // a function of simulation state only, never of worker count, which
 // is why -intra-j N is byte-identical to -intra-j 1.
+//
+// Inside a stretch the loop replays its two occurrence types — issue
+// steps and L1-hit completions — in the order the event queue would
+// impose. A completion due at cycle C was scheduled rt >= 3 cycles
+// earlier, while the step due at C was scheduled at most one cycle
+// earlier (issue tick), exactly rt cycles earlier with the loads of
+// its cycle pushed first (compute delay of rt), or at C itself
+// (unblock); in every case the completion's queue position precedes
+// the step's, so the loop fires all completions due at a cycle before
+// that cycle's step.
 
-// SetWindowed switches the processor to windowed step scheduling.
-// Must be called before Start.
-func (p *Processor) SetWindowed() { p.windowed = true }
-
-// windowMem swaps a windowed core's FastMemory probe for the
-// read-only window probe while keeping the Memory path (Load/Store,
-// used by the event-driven miss handoff) intact. Wrapping the
-// interface once at setup keeps fastIssueLoad/Store's hot-path call
-// a plain interface dispatch — identical to the non-windowed machine
-// — instead of a per-probe mode branch.
-type windowMem struct {
-	Memory
-	probe func(a mem.Addr, write bool) (rt sim.Cycle, hit bool)
+// stretchDone is one locally retired completion awaiting its due
+// cycle: the inline image of the evDone event the memory system would
+// have scheduled for an L1 hit. id carries storeIDFlag for stores.
+type stretchDone struct {
+	due sim.Cycle
+	id  uint64
 }
 
-func (w *windowMem) ProbeL1(a mem.Addr, write bool) (sim.Cycle, bool) { return w.probe(a, write) }
-
-// SetWindowProbe installs the read-only L1 probe stretches use. It
-// must apply exactly the private cache effects ProbeL1 would (LRU
-// touch, dirty bit, hit counters) while leaving all shared state —
-// in particular the page mapper — untouched, and must report a miss
-// for any translation it cannot answer read-only. A windowed
-// stretchable core probes the L1 only inside stretches (its steps
-// never run on the engine clock), so the probe replaces ProbeL1
-// unconditionally.
-func (p *Processor) SetWindowProbe(probe func(a mem.Addr, write bool) (rt sim.Cycle, hit bool)) {
-	if p.fastMem != nil {
-		p.fastMem = &windowMem{Memory: p.fastMem, probe: probe}
-	}
+// SetWindowed switches the processor to windowed step scheduling and
+// installs the read-only L1 probe its stretches use. The probe must
+// apply exactly the private cache effects the asynchronous hit path
+// would (LRU touch, dirty bit, hit counters) while leaving all shared
+// state — in particular the page mapper — untouched, and must report
+// a miss, having touched nothing, for any access it cannot retire
+// read-only. Must be called before Start.
+func (p *Processor) SetWindowed(probe func(a mem.Addr, write bool) (rt sim.Cycle, hit bool)) {
+	p.windowed, p.probe = true, probe
 }
 
 // Armed reports the armed step register: the due cycle of the next
 // issue-cycle step, and whether one is armed at all (a blocked,
 // draining, or finished core has none).
 func (p *Processor) Armed() (sim.Cycle, bool) { return p.stepAt, p.armed }
-
-// CanStretch reports whether the armed step can run as a concurrent
-// stretch. A core without the fast path (-fastpath=off, the
-// event-driven oracle) cannot: its issue cycles go through the real
-// Memory path, so the DomainEngine fires them sequentially on the
-// engine clock via FireArmedStep.
-func (p *Processor) CanStretch() bool { return p.fastMem != nil }
-
-// FireArmedStep consumes the armed register and runs one event-driven
-// issue cycle on the engine clock (which the caller has advanced to
-// the armed cycle). Non-stretchable cores only.
-func (p *Processor) FireArmedStep() {
-	p.armed = false
-	p.step()
-}
 
 // RunStretch consumes the armed register and advances the core's
 // private subsystem from its armed step up to (but excluding)
@@ -89,12 +73,10 @@ func (p *Processor) FireArmedStep() {
 // invokes it when Armed() reports a step strictly before horizon.
 func (p *Processor) RunStretch(horizon sim.Cycle) {
 	p.armed = false
-	p.stretching = true
 	hasStep, stepAt := true, p.stepAt
-	var now sim.Cycle
 	for {
-		// Same occurrence pick as fastRun: completions due no later
-		// than the step fire first.
+		// Pick the next local occurrence; completions due no later
+		// than the step fire first (see the ordering argument above).
 		var at sim.Cycle
 		comp := false
 		if p.ringHead < len(p.ring) {
@@ -107,10 +89,10 @@ func (p *Processor) RunStretch(horizon sim.Cycle) {
 		} else if hasStep {
 			at = stepAt
 		} else {
-			// Blocked on an engine event, or finished: the ring is
-			// necessarily empty (see fastRun), so only the finish
-			// latch, if set, remains for CommitStretch.
-			break
+			// Blocked on an engine event, or finished: every ring entry
+			// holds a pending load or store, so the ring is empty and
+			// only the finish latch, if set, remains for CommitStretch.
+			return
 		}
 		if at >= horizon {
 			// Hand the remainder to the next window: the step re-arms,
@@ -120,26 +102,21 @@ func (p *Processor) RunStretch(horizon sim.Cycle) {
 			if hasStep {
 				p.armed, p.stepAt = true, stepAt
 			}
-			break
+			return
 		}
-		now = at
 		if comp {
 			e := p.popRing()
-			if hs, sa := p.fastComplete(e.id, now); hs {
-				hasStep, stepAt = true, sa
+			if p.stretchComplete(e.id, at) {
+				hasStep, stepAt = true, at
 			}
-		} else {
-			hasStep = false
-			var exited bool
-			hasStep, stepAt, exited = p.fastStep(now)
-			if exited {
-				// L1 miss: latched in strMissed/strMissAt/strIssued by
-				// exitOnMiss's stretching branch.
-				break
-			}
+			continue
+		}
+		var missed bool
+		hasStep, stepAt, missed = p.stretchStep(at)
+		if missed {
+			return
 		}
 	}
-	p.stretching = false
 }
 
 // CommitStretch publishes a finished stretch's cross-domain effects
@@ -164,4 +141,210 @@ func (p *Processor) CommitStretch() {
 		p.strFinished = false
 		p.eng.Schedule(p.strFinishAt, p, kindFinish, sim.Event{})
 	}
+}
+
+// pushRing appends a pending local completion, compacting consumed
+// head space instead of growing when the backing array is full. Live
+// entries are bounded by rt*IssueWidth, so steady state never
+// reallocates.
+func (p *Processor) pushRing(e stretchDone) {
+	if len(p.ring) == cap(p.ring) && p.ringHead > 0 {
+		n := copy(p.ring, p.ring[p.ringHead:])
+		p.ring = p.ring[:n]
+		p.ringHead = 0
+	}
+	p.ring = append(p.ring, e)
+}
+
+func (p *Processor) popRing() stretchDone {
+	e := p.ring[p.ringHead]
+	p.ringHead++
+	if p.ringHead == len(p.ring) {
+		p.ring = p.ring[:0]
+		p.ringHead = 0
+	}
+	return e
+}
+
+// stretchStep is one inline issue cycle, mirroring step/issueFrom with
+// a local clock and probed L1 hits. It reports whether (and when) a
+// next step is due, or that it latched an L1 miss and the stretch
+// must end.
+func (p *Processor) stretchStep(now sim.Cycle) (hasStep bool, stepAt sim.Cycle, missed bool) {
+	if p.Trace != nil {
+		p.Trace("step", now)
+	}
+	if p.finished || p.paused || p.blocked != notBlocked {
+		return false, 0, false
+	}
+	issued := 0
+	for issued < p.cfg.IssueWidth && p.pc < len(p.ops) {
+		op := &p.ops[p.pc]
+		switch op.Kind {
+		case workload.Compute:
+			p.pc++
+			p.Retired++
+			w := sim.Cycle(op.Work)
+			if w < 1 {
+				w = 1
+			}
+			p.ComputeCycles += uint64(w)
+			return true, now + w, false
+		case workload.Load:
+			if op.Dep && !p.lastLoadDone {
+				p.stretchBlock(blockDep, p.lastLoadID, now)
+				return false, 0, false
+			}
+			if p.pendingLoads >= p.cfg.MaxPendingLoads {
+				p.stretchBlock(blockLoadPorts, 0, now)
+				return false, 0, false
+			}
+			if p.windowFull() {
+				p.stretchBlock(blockWindow, 0, now)
+				return false, 0, false
+			}
+			if !p.stretchLoad(op.Addr, now) {
+				p.latchMiss(now, issued)
+				return false, 0, true
+			}
+			p.pc++
+			p.Retired++
+			issued++
+		case workload.Store:
+			if p.pendingStores >= p.cfg.MaxPendingStores {
+				p.stretchBlock(blockStorePorts, 0, now)
+				return false, 0, false
+			}
+			if !p.stretchStore(op.Addr, now) {
+				p.latchMiss(now, issued)
+				return false, 0, true
+			}
+			p.pc++
+			p.Retired++
+			issued++
+		}
+	}
+	if p.pc >= len(p.ops) {
+		p.stretchMaybeFinish(now)
+		return false, 0, false
+	}
+	p.IssueCycles++
+	return true, now + 1, false
+}
+
+// stretchLoad retires an L1-hitting load inline, or reports an L1
+// miss having touched nothing.
+func (p *Processor) stretchLoad(a mem.Addr, now sim.Cycle) bool {
+	rt, hit := p.probe(a, false)
+	if !hit {
+		return false
+	}
+	p.nextLoadID++
+	id := p.nextLoadID
+	p.lastLoadID = id
+	p.lastLoadDone = false
+	p.pendingLoads++
+	p.pushInflight(inflightLoad{id: id, opIdx: p.pc})
+	p.pushRing(stretchDone{due: now + rt, id: id})
+	return true
+}
+
+// stretchStore retires an L1-hitting store inline, or reports an L1
+// miss having touched nothing.
+func (p *Processor) stretchStore(a mem.Addr, now sim.Cycle) bool {
+	rt, hit := p.probe(a, true)
+	if !hit {
+		return false
+	}
+	p.pendingStores++
+	p.pushRing(stretchDone{due: now + rt, id: storeIDFlag})
+	return true
+}
+
+// latchMiss records the handoff point of the first L1 miss of an
+// issue cycle; CommitStretch turns it into a kindMissResume event at
+// the window barrier, which runs the remainder of the issue cycle —
+// starting with the missing op itself — through the event-driven
+// path. Buffered ring completions stay put: their dues all lie past
+// the miss cycle (completions due at it fired before this step), so
+// the commit order matches an inline handoff exactly.
+func (p *Processor) latchMiss(now sim.Cycle, issued int) {
+	p.strMissed, p.strMissAt, p.strIssued = true, now, issued
+}
+
+// stretchComplete mirrors Complete/loadDone/storeDone for a locally
+// buffered L1-hit completion, on the local clock. It reports whether
+// an unblock armed a same-cycle step.
+func (p *Processor) stretchComplete(id uint64, now sim.Cycle) (step bool) {
+	if id&storeIDFlag != 0 {
+		p.pendingStores--
+		if p.blocked == blockStorePorts {
+			step = p.stretchUnblock(now)
+		}
+		p.stretchMaybeFinish(now)
+		return step
+	}
+	if p.Trace != nil {
+		p.Trace("loadDone", now)
+	}
+	p.pendingLoads--
+	if id == p.lastLoadID {
+		p.lastLoadDone = true
+	}
+	for i := p.inflightHead; i < len(p.inflight); i++ {
+		if p.inflight[i].id == id {
+			p.inflight[i].done = true
+			break
+		}
+	}
+	switch p.blocked {
+	case blockDep:
+		if id == p.blockOnID {
+			step = p.stretchUnblock(now)
+		}
+	case blockLoadPorts, blockWindow:
+		step = p.stretchUnblock(now)
+	case notBlocked, blockStorePorts:
+		// Either running, finished draining, or waiting on stores.
+	}
+	p.stretchMaybeFinish(now)
+	return step
+}
+
+// stretchBlock mirrors block on the local clock.
+func (p *Processor) stretchBlock(r blockReason, onID uint64, now sim.Cycle) {
+	if p.Trace != nil {
+		p.Trace("block", now)
+	}
+	p.blocked = r
+	p.blockOnID = onID
+	p.blockStart = now
+}
+
+// stretchUnblock mirrors unblock on the local clock. Ring completions
+// are always L1 hits, so the stall charges to uptoL2. It reports
+// whether a same-cycle step should arm (it always should: Pause
+// cannot land mid-stretch, but the check keeps parity with unblock).
+func (p *Processor) stretchUnblock(now sim.Cycle) bool {
+	if p.Trace != nil {
+		p.Trace("unblock", now)
+	}
+	d := now - p.blockStart
+	p.BlockedByReason[p.blocked] += d
+	p.BlockEvents[p.blocked]++
+	p.uptoL2 += d
+	p.blocked = notBlocked
+	return !p.paused
+}
+
+// stretchMaybeFinish mirrors maybeFinish off the engine clock: if the
+// stream has fully retired, it latches the retirement cycle, and
+// CommitStretch schedules the kindFinish event so onDone runs on the
+// engine clock. The ring is necessarily empty here — every entry
+// holds a pending load or store.
+func (p *Processor) stretchMaybeFinish(now sim.Cycle) {
+	if p.finished || p.pc < len(p.ops) || p.pendingLoads > 0 || p.pendingStores > 0 {
+		return
+	}
+	p.strFinished, p.strFinishAt = true, now
 }

@@ -31,8 +31,8 @@ import (
 //   - the canonical RunKey encoding (length-prefixed, so no two
 //     distinct (app, label) or (kind, name) pairs can collide — see
 //     FuzzCacheKey),
-//   - the Options behavior fingerprint (scale, seed, kernel, fastpath,
-//     fault plan),
+//   - the Options behavior fingerprint (scale, seed, kernel, fault
+//     plan),
 //   - CacheBehaviorVersion, a code-behavior constant bumped whenever a
 //     change legitimately moves report_sha256; entries from an older
 //     code generation are detected as stale and recomputed, never
@@ -54,9 +54,9 @@ import (
 // Entries are written atomically and durably (tmp, fsync, rename) and
 // are self-describing (the envelope records the full key material); a
 // corrupt, truncated or mismatched entry counts as stale and is
-// recomputed and overwritten. `-cache=off` is the oracle: it bypasses
-// the cache entirely and must render byte-identical reports
-// (TestCacheWarmEquivalence).
+// recomputed and overwritten. A run without a cache directory is the
+// oracle: it simulates everything and must render byte-identical
+// reports (TestCacheWarmEquivalence).
 
 // CacheBehaviorVersion is the code-behavior generation of cache
 // entries. Bump it in the same commit as any change that legitimately
@@ -74,11 +74,12 @@ var cacheVersion uint64 = CacheBehaviorVersion
 
 // fingerprint is the Options half of every cache key: the options
 // that change simulated behavior. Its text is part of every existing
-// entry's address, so it must not change without a version bump.
+// entry's address, so it must not change without a version bump; the
+// literal "fastpath=true" is part of that text.
 func (o Options) fingerprint() [32]byte {
 	return sha256.Sum256([]byte(fmt.Sprintf(
-		"ulmt-run/v1|scale=%s|seed=%d|kernel=%d|fastpath=%t|faults=%s",
-		o.Scale.String(), o.Seed, int(o.Kernel), !o.NoFastPath, o.FaultTag)))
+		"ulmt-run/v1|scale=%s|seed=%d|kernel=%d|fastpath=true|faults=%s",
+		o.Scale.String(), o.Seed, int(o.Kernel), o.FaultTag)))
 }
 
 // Artifact kinds stored beside the "run" Results entries.

@@ -58,12 +58,6 @@ type Options struct {
 	// value: the default wheel). Exists for the kernel-equivalence
 	// suite; reports are bit-identical across backends.
 	Kernel sim.Kernel
-	// NoFastPath disables the CPU's cycle-skipping fast path for
-	// every run (the -fastpath=off oracle). Single-core reports are
-	// bit-identical either way; only wall clock and event counts
-	// move. Multi-core reports are not: same-cycle core steps can
-	// order differently (DESIGN.md "Intra-run parallel execution").
-	NoFastPath bool
 
 	// RunTimeout, if positive, bounds each simulation attempt's wall
 	// clock; a run past it is aborted and retried.
@@ -100,10 +94,6 @@ type Options struct {
 	// invocation shape, with entry identity carried by each entry's
 	// key.
 	CacheDir string
-	// NoCache bypasses the result cache even when CacheDir is set
-	// (the -cache=off oracle): every run simulates, nothing is read
-	// or written. Reports are bit-identical either way.
-	NoCache bool
 	// MemBudget caps the bytes the recycled successor-arena pool
 	// retains between simulations (the -mem-budget flag; 0 disables
 	// the cap).
@@ -210,9 +200,9 @@ type Runner struct {
 
 	// computed counts simulations actually executed (cache misses of
 	// runs), so tests can prove a pre-planned run set covers an
-	// entire report; eventsFired totals their engine event counts,
-	// the churn the cycle-skipping fast path exists to cut. retried
-	// and failed count the self-healing runner's interventions.
+	// entire report; eventsFired totals their engine event counts, a
+	// host-side measure of event churn. retried and failed count the
+	// self-healing runner's interventions.
 	computed    atomic.Uint64
 	eventsFired atomic.Uint64
 	retried     atomic.Uint64
@@ -349,7 +339,6 @@ func (r *Runner) BuildConfig(app, label string) core.Config {
 	cfg.Seed = r.opt.Seed
 	cfg.Faults = r.opt.Faults
 	cfg.Kernel = r.opt.Kernel
-	cfg.CPU.DisableFastPath = r.opt.NoFastPath
 	rows := r.NumRows(app)
 
 	newRepl := func(levels int) prefetch.Algorithm {

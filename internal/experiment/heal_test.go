@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,7 +214,9 @@ func TestInterruptedMatrixReplays(t *testing.T) {
 	r1 := cacheDirRunner(t, opt, dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	last := 0
 	err := r1.ExecuteAll(ctx, keys, 1, func(completed, total int) {
+		last = completed
 		if completed == k {
 			cancel()
 		}
@@ -224,6 +227,11 @@ func TestInterruptedMatrixReplays(t *testing.T) {
 	done := finishedRuns(r1)
 	if len(done) < k || len(done) >= len(keys) {
 		t.Fatalf("interrupted matrix finished %d of %d runs, want at least %d and not all", len(done), len(keys), k)
+	}
+	// Progress counts only runs that returned: keys skipped or aborted
+	// by the interrupt must not advance it.
+	if last != len(done) {
+		t.Errorf("last progress report %d, want the %d finished runs", last, len(done))
 	}
 
 	r2 := cacheDirRunner(t, opt, dir)
@@ -411,18 +419,23 @@ func TestSelfHealExhaustedRetries(t *testing.T) {
 }
 
 // TestExecuteAllInterrupt cancels the context and requires ExecuteAll
-// to stop and report the interruption.
+// to stop, report the interruption, and run no key.
 func TestExecuteAllInterrupt(t *testing.T) {
 	opt := resumeOptions()
 	r := NewRunner(opt)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := r.ExecuteAll(ctx, r.PlanRuns([]string{"fig7"}), 2, nil)
+	var fired atomic.Int64
+	err := r.ExecuteAll(ctx, r.PlanRuns([]string{"fig7"}), 2, func(int, int) { fired.Add(1) })
 	if err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("ExecuteAll after cancel = %v, want interrupted", err)
 	}
 	if !r.Interrupted() {
 		t.Error("runner not marked interrupted")
+	}
+	// No key ran, so progress never advanced.
+	if n := fired.Load(); n != 0 {
+		t.Errorf("pre-cancelled matrix fired onDone %d times, want 0", n)
 	}
 }
 

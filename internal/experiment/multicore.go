@@ -44,7 +44,6 @@ func (r *Runner) MulticoreMix(n int, withPrefetch bool) (core.MulticoreResults, 
 	base.Seed = r.opt.Seed
 	base.Faults = r.opt.Faults
 	base.Kernel = r.opt.Kernel
-	base.CPU.DisableFastPath = r.opt.NoFastPath
 
 	mc := core.MulticoreConfig{Base: base, IntraJ: r.opt.IntraJobs}
 	names := make([]string, 0, n)

@@ -90,17 +90,18 @@ func (r *Runner) PlanRuns(exps []string) []RunKey {
 // that share op streams, miss traces, sizing or a machine (an identity
 // alias and its Repl run) compute them once, whichever worker gets
 // there first, and a key already cached costs nothing. onDone, if
-// non-nil, is called after each completed run with (completed,
-// total); it may be called from many goroutines at once and must
-// synchronize itself.
+// non-nil, is called after each run that returned, completed or
+// failed, with (completed, total), where completed counts those runs;
+// it may be called from many goroutines at once and must synchronize
+// itself.
 //
 // Cancelling ctx interrupts the matrix: in-flight runs abort, queued
-// keys are skipped (each is still counted so accounting completes), and
-// ExecuteAll returns the context's error once everything has
-// stopped — no run is killed mid-write, and every run that completed
-// is already in the attached cache. Runs that exhaust their retry
-// budget don't stop the matrix; they are reported in the returned
-// error after all keys have been visited.
+// keys are skipped, neither fires onDone, and ExecuteAll returns the
+// context's error once everything has stopped — no run is killed
+// mid-write, and every run that completed is already in the attached
+// cache. Runs that exhaust their retry budget don't stop the matrix;
+// they are reported in the returned error after all keys have been
+// visited.
 //
 // Results are byte-identical to running the keys serially: every
 // simulation is an isolated System whose output is a pure function of
@@ -120,7 +121,12 @@ func (r *Runner) ExecuteAll(ctx context.Context, keys []RunKey, workers int, onD
 		return nil
 	}
 
-	// Fan the context's cancellation out to the in-flight runs.
+	// Fan the context's cancellation out to the in-flight runs. A
+	// context already cancelled interrupts the matrix before any key
+	// starts.
+	if ctx.Err() != nil {
+		r.Interrupt()
+	}
 	cancelDone := make(chan struct{})
 	cancelStopped := make(chan struct{})
 	go func() {
@@ -143,15 +149,20 @@ func (r *Runner) ExecuteAll(ctx context.Context, keys []RunKey, workers int, onD
 		go func() {
 			defer wg.Done()
 			for k := range work {
-				if !r.interrupted.Load() {
-					if out := r.outcome(k); out.err != nil && !errors.Is(out.err, errInterrupted) {
-						errMu.Lock()
-						nFailed++
-						if firstErr == nil {
-							firstErr = out.err
-						}
-						errMu.Unlock()
+				if r.interrupted.Load() {
+					continue
+				}
+				out := r.outcome(k)
+				if errors.Is(out.err, errInterrupted) {
+					continue
+				}
+				if out.err != nil {
+					errMu.Lock()
+					nFailed++
+					if firstErr == nil {
+						firstErr = out.err
 					}
+					errMu.Unlock()
 				}
 				n := int(done.Add(1))
 				if onDone != nil {

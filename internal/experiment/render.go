@@ -62,13 +62,6 @@ func (r *Runner) Render(w io.Writer, exp string) error {
 	return nil
 }
 
-// RenderAll writes the full `-exp all` report sequence.
-func (r *Runner) RenderAll(w io.Writer) {
-	for _, name := range AllOrder {
-		renderers[name](w, r)
-	}
-}
-
 func renderTable1(w io.Writer, r *Runner) {
 	t := report.Table{
 		Title:  "Table 1: pair-based correlation algorithms on a ULMT (measured)",

@@ -83,7 +83,6 @@ func (r *Runner) sweepConfig(app, label string) (core.Config, bool) {
 	cfg.Seed = r.opt.Seed
 	cfg.Faults = r.opt.Faults
 	cfg.Kernel = r.opt.Kernel
-	cfg.CPU.DisableFastPath = r.opt.NoFastPath
 	switch {
 	case strings.HasPrefix(rest, "NumLevels="):
 		levels, err := strconv.Atoi(strings.TrimPrefix(rest, "NumLevels="))

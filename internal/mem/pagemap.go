@@ -136,9 +136,6 @@ func (m *PageMapper) Remap(v Addr) (oldPFN, newPFN uint64) {
 	return old, m.table[vpn]
 }
 
-// PageShift exposes the page-size exponent.
-func (m *PageMapper) PageShift() uint { return m.pageShift }
-
 // MappedPages reports how many virtual pages have been touched, i.e.
 // the resident footprint in pages.
 func (m *PageMapper) MappedPages() int { return len(m.table) }

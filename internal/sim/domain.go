@@ -27,9 +27,9 @@ import (
 //     occurrence, H = the earliest queue event (the conservative
 //     bound — nothing outside a domain can affect it before H), or
 //     ts + cap when a window cap is set, whichever is smaller;
-//  3. every stretchable domain armed before H stretches to H — in
-//     parallel when workers > 1, serially otherwise, with identical
-//     results because stretches are private by contract;
+//  3. every domain armed before H stretches to H — in parallel when
+//     workers > 1, serially otherwise, with identical results because
+//     stretches are private by contract;
 //  4. at the barrier, each stretched domain commits its buffered
 //     effects into the queue in domain-index order.
 //
@@ -44,13 +44,6 @@ import (
 type Domain interface {
 	// ArmedAt reports the domain's next private occurrence, if any.
 	ArmedAt() (Cycle, bool)
-	// Stretchable reports whether the armed occurrence can run as a
-	// private off-clock stretch. Non-stretchable domains (the
-	// event-driven oracle) fire sequentially via FireArmed.
-	Stretchable() bool
-	// FireArmed consumes the armed occurrence and executes it on the
-	// engine clock, which the caller has advanced to its cycle.
-	FireArmed()
 	// Stretch advances private state from the armed occurrence up to
 	// (excluding) horizon, buffering cross-domain effects. It must not
 	// touch the engine or shared state: it may run on another
@@ -104,12 +97,8 @@ func (de *DomainEngine) Add(d Domain) { de.doms = append(de.doms, d) }
 // equivalence fuzzer, not for tuning.
 func (de *DomainEngine) SetWindowCap(c Cycle) { de.cap = c }
 
-// Workers reports the resolved worker count.
-func (de *DomainEngine) Workers() int { return de.workers }
-
-// Step executes the next schedulable unit — one queue event, one
-// non-stretchable armed occurrence, or one whole window — and reports
-// whether anything remained to execute.
+// Step executes the next schedulable unit — one queue event or one
+// whole window — and reports whether anything remained to execute.
 func (de *DomainEngine) Step() bool {
 	best := -1
 	var ts Cycle
@@ -130,11 +119,6 @@ func (de *DomainEngine) Step() bool {
 		de.eng.Step()
 		return true
 	}
-	if d := de.doms[best]; !d.Stretchable() {
-		de.eng.AdvanceTo(ts)
-		d.FireArmed()
-		return true
-	}
 	h := Forever
 	if de.cap > 0 && de.cap < h-ts {
 		h = ts + de.cap
@@ -147,7 +131,7 @@ func (de *DomainEngine) Step() bool {
 	}
 	de.active = de.active[:0]
 	for i, d := range de.doms {
-		if at, ok := d.ArmedAt(); ok && at < h && d.Stretchable() {
+		if at, ok := d.ArmedAt(); ok && at < h {
 			de.active = append(de.active, i)
 		}
 	}

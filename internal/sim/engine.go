@@ -107,14 +107,12 @@ const (
 //     queue runs dry early.
 //   - Events at the same cycle fire in scheduling order (FIFO),
 //     regardless of backend.
-//   - Fired counts exactly the events executed; RunUntil and
-//     AdvanceTo moving the clock past quiet cycles do not increment
-//     it, so Fired+Pending is conserved by pure time passage. Under
-//     cycle skipping (the CPU's fast path) whole stretches of
-//     simulated activity retire without ever entering the queue:
-//     fast-forwarded cycles fire no events, so Fired measures event
-//     *churn*, not simulated work. Compare Fired across runs only at
-//     the same fast-path setting.
+//   - Fired counts exactly the events executed; RunUntil moving the
+//     clock past quiet cycles does not increment it, so Fired+Pending
+//     is conserved by pure time passage. A multi-core machine's
+//     stretches (DomainEngine) retire issue steps and L1 hits without
+//     entering the queue, so Fired measures event *churn*, not
+//     simulated work.
 type Engine struct {
 	now    Cycle
 	seq    uint64
@@ -247,33 +245,11 @@ func (e *Engine) peekAt() (Cycle, bool) {
 }
 
 // NextAt reports the cycle of the earliest pending event, or false
-// when the queue is empty. It is the skip horizon of the CPU's
-// cycle-skipping fast path: as long as locally simulated activity
-// stays strictly before NextAt, nothing else in the machine can
-// observe those cycles, so they need not pass through the queue.
+// when the queue is empty. It is the horizon of a DomainEngine
+// window: as long as a domain's private activity stays strictly
+// before NextAt, nothing else in the machine can observe those
+// cycles, so they need not pass through the queue.
 func (e *Engine) NextAt() (Cycle, bool) { return e.peekAt() }
-
-// AdvanceTo moves the clock forward to cycle c without firing
-// anything, the clock half of cycle skipping: a caller that retired
-// simulated work inline calls AdvanceTo before re-entering the event
-// flow (scheduling, completing, finishing) so that everything it
-// schedules next carries the right timestamp. Moving backwards or
-// jumping over a pending event would corrupt causality, so both
-// panic; events at exactly c stay pending and fire normally.
-func (e *Engine) AdvanceTo(c Cycle) {
-	if c < e.now {
-		panic("sim: AdvanceTo into the past")
-	}
-	if t, ok := e.peekAt(); ok && t < c {
-		panic("sim: AdvanceTo past a pending event")
-	}
-	e.now = c
-	if e.legacy == nil {
-		// No pending event precedes c, so the wheel window can jump
-		// forward wholesale (spilling overflow into the new window).
-		e.wheel.advanceTo(c)
-	}
-}
 
 // Run fires events until the queue drains.
 func (e *Engine) Run() {

@@ -147,66 +147,6 @@ func TestEngineNextAt(t *testing.T) {
 	}
 }
 
-func TestEngineAdvanceTo(t *testing.T) {
-	for _, k := range []Kernel{KernelWheel, KernelHeap} {
-		e := NewEngineWithKernel(k)
-		fired := uint64(0)
-		// Far-future event, beyond the wheel window, so AdvanceTo must
-		// spill it correctly into the new window.
-		e.At(5000, func() { fired++ })
-		e.At(100, func() { fired++ })
-		e.AdvanceTo(100) // events at exactly the target stay pending
-		if e.Now() != 100 {
-			t.Fatalf("kernel %d: Now = %d, want 100", k, e.Now())
-		}
-		if fired != 0 || e.Fired() != 0 {
-			t.Fatalf("kernel %d: AdvanceTo fired events (%d)", k, e.Fired())
-		}
-		e.Step()
-		if fired != 1 || e.Now() != 100 {
-			t.Fatalf("kernel %d: event at the target did not fire (now=%d)", k, e.Now())
-		}
-		e.AdvanceTo(4999)
-		// Scheduling relative to the advanced clock must land right.
-		at := Cycle(-1)
-		e.After(2, func() { at = e.Now() })
-		e.Run()
-		if at != 5001 || fired != 2 || e.Now() != 5001 {
-			t.Fatalf("kernel %d: after AdvanceTo(4999): at=%d fired=%d now=%d",
-				k, at, fired, e.Now())
-		}
-		// AdvanceTo is pure time passage: Fired counts only executions.
-		if e.Fired() != 3 {
-			t.Errorf("kernel %d: Fired = %d, want 3", k, e.Fired())
-		}
-	}
-}
-
-func TestEngineAdvanceToPanics(t *testing.T) {
-	for _, k := range []Kernel{KernelWheel, KernelHeap} {
-		e := NewEngineWithKernel(k)
-		e.At(10, func() {})
-		e.RunUntil(20)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("kernel %d: AdvanceTo into the past did not panic", k)
-				}
-			}()
-			e.AdvanceTo(15)
-		}()
-		e.At(30, func() {})
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("kernel %d: AdvanceTo past a pending event did not panic", k)
-				}
-			}()
-			e.AdvanceTo(31)
-		}()
-	}
-}
-
 func TestEngineManyEvents(t *testing.T) {
 	e := NewEngine()
 	count := 0
