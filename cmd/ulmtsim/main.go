@@ -8,7 +8,7 @@
 //	ulmtsim [-exp all|table1..table5|fig5..fig11|ablation|sweep|faults|multicore]
 //	        [-scale tiny|small|medium|large] [-apps CG,Mcf,...] [-seed N]
 //	        [-j N] [-faults off|light|heavy|k=v,...] [-fault-seed N]
-//	        [-cores N] [-shards N] [-intra-j N]
+//	        [-cores N] [-shards N]
 //	        [-run-timeout D] [-retries N]
 //	        [-cache-dir DIR] [-mem-budget MIB]
 //	        [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
@@ -139,7 +139,6 @@ func run() error {
 	retries := flag.Int("retries", 2, "times a panicked or timed-out run is re-attempted before being reported failed")
 	cores := flag.Int("cores", 0, "main-processor count for -exp multicore (0 sweeps 2/4/8)")
 	shards := flag.Int("shards", 0, "correlation-table shards for -exp multicore (0 = private per-core ULMTs, >=1 = one shared table across that many memory threads)")
-	intraJ := flag.Int("intra-j", 1, "intra-run workers advancing one multicore machine's time windows (1 = sequential oracle, 0 = GOMAXPROCS); reports are byte-identical at any value")
 	cacheDir := flag.String("cache-dir", "", "persist completed results and derived artifacts in a content-addressed cache under this directory; later invocations with the same parameters replay from it")
 	memBudget := flag.Int64("mem-budget", 192, "cap in MiB on the correlation-table arenas retained between simulations (0 = uncapped); peak heap runs about one cap above a retention-free run's baseline")
 	flag.Parse()
@@ -213,7 +212,7 @@ func run() error {
 	opt := experiment.Options{
 		Scale: scale, Seed: *seed, Faults: plan,
 		RunTimeout: *runTimeout, MaxRetries: *retries, Jobs: *jobs,
-		Cores: *cores, Shards: *shards, IntraJobs: *intraJ,
+		Cores: *cores, Shards: *shards,
 		CacheDir: *cacheDir, MemBudget: memBudgetBytes,
 	}
 	if plan != nil {
@@ -315,11 +314,10 @@ func run() error {
 
 	if *benchJSON != "" {
 		b, err := json.MarshalIndent(benchRecord{
-			Exp:    *exp,
-			Scale:  scale.String(),
-			Seed:   *seed,
-			Jobs:   *jobs,
-			IntraJ: *intraJ,
+			Exp:   *exp,
+			Scale: scale.String(),
+			Seed:  *seed,
+			Jobs:  *jobs,
 			// Parallel-mode wall clocks are only comparable at equal
 			// parallelism; record the host's.
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -357,7 +355,6 @@ type benchRecord struct {
 	Scale        string  `json:"scale"`
 	Seed         uint64  `json:"seed"`
 	Jobs         int     `json:"jobs"`
-	IntraJ       int     `json:"intra_j"`
 	GOMAXPROCS   int     `json:"gomaxprocs"`
 	HostVCPUs    int     `json:"host_vcpus"`
 	Runs         int     `json:"runs"`

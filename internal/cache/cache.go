@@ -68,10 +68,10 @@ func (c Config) Validate() error {
 // set*assoc+way: the tag and LRU tick every lookup scans live in
 // c.tags and c.lru (one cache line of tags per set walk), and the
 // state only read once a lookup has resolved is a one-byte flag word
-// in c.flags plus a diagnostic fill tick in c.filledAt. The earlier
-// layout kept a parallel slice-of-slices of way structs for the
-// resolved-path fields; the per-set slice-header loads and 24-byte
-// struct writes showed up in whole-run profiles of Fill.
+// in c.flags. The earlier layout kept a parallel slice-of-slices of
+// way structs for the resolved-path fields; the per-set slice-header
+// loads and 24-byte struct writes showed up in whole-run profiles of
+// Fill.
 const (
 	wayValid    = 1 << 0
 	wayDirty    = 1 << 1
@@ -104,14 +104,13 @@ type Stats struct {
 type Cache struct {
 	cfg     Config
 	setMask uint64
-	// tags, lru, flags, filledAt are the per-way state as flat arrays
-	// indexed set*assoc+way; see the way* flag constants. An empty way
-	// holds invalidTag, so the scans need no separate valid check.
-	tags     []uint64
-	lru      []uint64
-	flags    []uint8
-	filledAt []uint64
-	mshrs    []MSHR
+	// tags, lru, flags are the per-way state as flat arrays indexed
+	// set*assoc+way; see the way* flag constants. An empty way holds
+	// invalidTag, so the scans need no separate valid check.
+	tags  []uint64
+	lru   []uint64
+	flags []uint8
+	mshrs []MSHR
 	// mshrBusy mirrors the valid bits of mshrs as a bitmap (bit i =
 	// entry i), so the per-miss lookup/alloc scans only occupied
 	// entries instead of walking the whole file.
@@ -137,7 +136,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c.lru = make([]uint64, nsets*cfg.Assoc)
 	c.flags = make([]uint8, nsets*cfg.Assoc)
-	c.filledAt = make([]uint64, nsets*cfg.Assoc)
 	c.mshrs = make([]MSHR, cfg.MSHRs)
 	// The write-back queue is a ring over a fixed backing array of
 	// WBQDepth slots: draining advances a head index, never shifts.
@@ -328,7 +326,6 @@ func (c *Cache) Fill(l mem.Line, dirty, prefetched bool) EvictInfo {
 		fl |= wayPrefetch
 	}
 	c.flags[base+victim] = fl
-	c.filledAt[base+victim] = c.tick
 	tags[victim] = tag
 	lrus[victim] = c.tick
 	return ev
@@ -344,7 +341,6 @@ func (c *Cache) Invalidate(l mem.Line) (wasDirty, present bool) {
 		if tags[i] == tag {
 			d := c.flags[base+i]&wayDirty != 0
 			c.flags[base+i] = 0
-			c.filledAt[base+i] = 0
 			tags[i] = invalidTag
 			return d, true
 		}

@@ -79,12 +79,6 @@ type Config struct {
 	// Seed scrambles the page mapper.
 	Seed uint64
 
-	// Kernel selects the event-queue backend (zero value: the
-	// allocation-free bucket wheel). sim.KernelHeap re-runs on the
-	// legacy container/heap queue; the two are bit-identical (see the
-	// kernel-equivalence suite), so this exists only for cross-checks.
-	Kernel sim.Kernel
-
 	// Ablation switches (DESIGN.md "Key design decisions").
 	//
 	// LearnFirst runs the learning step before the prefetching step,

@@ -63,17 +63,6 @@ type MulticoreConfig struct {
 	// (default 4): the cost of handing a miss observation from a
 	// core's controller queue to the shard set.
 	DeliverLat sim.Cycle
-	// IntraJ is the intra-run worker count for the windowed schedule
-	// an N >= 2 machine always executes (see DESIGN.md "Intra-run
-	// parallel execution"): 1 (the default) keeps every core stretch
-	// on the driving goroutine, 0 means GOMAXPROCS, and any value
-	// produces byte-identical results. A single-core machine ignores
-	// it and runs the classic engine loop, event-for-event equal to
-	// System.Run.
-	IntraJ int
-	// WindowCap, when > 0, bounds window spans to that many cycles.
-	// Results are cap-invariant; the equivalence fuzzer sweeps it.
-	WindowCap sim.Cycle
 }
 
 // MulticoreResults reports an N-core run: per-core Results plus the
@@ -116,9 +105,10 @@ type MultiSystem struct {
 	shards *shardSet
 
 	// windowed is fixed at construction: an N >= 2 machine always
-	// executes the windowed canonical schedule through de (IntraJ only
-	// picks the worker count); a 1-core machine keeps the classic
-	// engine loop, which stays event-for-event equal to System.Run.
+	// executes the windowed canonical schedule through de (see
+	// DESIGN.md "Windowed multi-core schedule"); a 1-core machine
+	// keeps the classic engine loop, which stays event-for-event
+	// equal to System.Run.
 	windowed bool
 	de       *sim.DomainEngine
 
@@ -155,15 +145,9 @@ func NewMultiSystem(mc MulticoreConfig) (*MultiSystem, error) {
 	if mc.Shards == 0 && mc.SharedULMT != nil {
 		return nil, fmt.Errorf("core: SharedULMT set but Shards == 0; use CoreApp.ULMT for private threads")
 	}
-	if mc.IntraJ < 0 {
-		return nil, fmt.Errorf("core: IntraJ must be >= 0, got %d", mc.IntraJ)
-	}
-	if mc.WindowCap < 0 {
-		return nil, fmt.Errorf("core: WindowCap must be >= 0, got %d", mc.WindowCap)
-	}
 
 	base := mc.Base
-	eng := sim.NewEngineWithKernel(base.Kernel)
+	eng := sim.NewEngine()
 	d, err := dram.New(base.DRAM)
 	if err != nil {
 		return nil, err
@@ -250,12 +234,7 @@ func (ms *MultiSystem) newCoreProc(i int, ops []workload.Op) *cpu.Processor {
 // buildDomains assembles the DomainEngine over the cores, in core-id
 // order (the canonical domain order).
 func (ms *MultiSystem) buildDomains() {
-	workers := ms.mc.IntraJ
-	if workers == 0 {
-		workers = -1 // NewDomainEngine resolves <1 to GOMAXPROCS
-	}
-	ms.de = sim.NewDomainEngine(ms.eng, workers)
-	ms.de.SetWindowCap(ms.mc.WindowCap)
+	ms.de = sim.NewDomainEngine(ms.eng)
 	for _, s := range ms.cores {
 		ms.de.Add(coreDomain{s.proc})
 	}
@@ -282,7 +261,6 @@ func (ms *MultiSystem) start() {
 func (ms *MultiSystem) Run() MulticoreResults {
 	ms.start()
 	if ms.windowed {
-		defer ms.de.Close() // parks the worker pool
 		ms.de.Run()
 	} else {
 		ms.eng.Run()

@@ -423,3 +423,56 @@ func TestZeroAllocMulticoreHitPath(t *testing.T) {
 		t.Fatal("no completions delivered")
 	}
 }
+
+// runMC builds and runs a multicore machine, failing the test on a
+// configuration error or a machine that does not drain.
+func runMC(t *testing.T, mc MulticoreConfig) MulticoreResults {
+	t.Helper()
+	ms, err := NewMultiSystem(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := ms.Run()
+	if !ms.Quiesced() {
+		t.Fatal("machine did not quiesce")
+	}
+	return res
+}
+
+// TestShardAttribConservation sanity-checks the cross-core
+// attribution counters on a correlated mix (Mcf repeats its miss
+// stream, so the table learns and emits): emits are attributed, the
+// identical per-core streams alias into the same table sets so
+// cross-core takeovers show up, and a single-core sharded machine can
+// never record cross traffic.
+func TestShardAttribConservation(t *testing.T) {
+	w, err := workload.ByName("Mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := w.Generate(workload.ScaleTiny)
+	streams := [][]workload.Op{ops, ops}
+	res := runMC(t, shardedConfig(streams, 2, false))
+	if res.ShardAttrib == nil {
+		t.Fatal("sharded machine reported no attribution")
+	}
+	var local, cross, takeovers uint64
+	for _, a := range res.ShardAttrib {
+		local += a.LocalEmits
+		cross += a.CrossEmits
+		takeovers += a.RowTakeovers
+	}
+	if local+cross == 0 {
+		t.Fatal("no emits attributed at all")
+	}
+	if takeovers == 0 {
+		t.Fatal("identical per-core streams alias into the same sets; expected takeovers")
+	}
+
+	solo := runMC(t, shardedConfig(streams[:1], 2, false))
+	for _, a := range solo.ShardAttrib {
+		if a.CrossEmits != 0 || a.RowTakeovers != 0 {
+			t.Fatalf("single-core machine recorded cross-core traffic: %+v", a)
+		}
+	}
+}

@@ -155,7 +155,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngineWithKernel(cfg.Kernel)
+	eng := sim.NewEngine()
 	d, err := dram.New(cfg.DRAM)
 	if err != nil {
 		return nil, err
@@ -381,14 +381,15 @@ func (s *System) Store(a mem.Addr, id uint64, done cpu.Completer) { s.access(a, 
 // stretch retires the access inline and no Load/Store follows. On a
 // miss it touches nothing (Probe counts neither an access nor a miss
 // then): the stretch hands over and access() performs the single
-// canonical miss lookup. It may run concurrently with other cores'
-// stretches, so the shared page mapper is consulted strictly
-// read-only (Lookup: no frame allocation, no TLB fill); the L1 it
-// mutates on a hit is this core's own. An unmapped page reports a
-// miss, and the sequential resume path performs the canonical
-// first-touch through Translate — including the corner where a
-// fault-plan Remap recycled a frame under a still-resident L1 line,
-// which access() then resolves.
+// canonical miss lookup. A stretch runs ahead of the shared queue,
+// so the shared page mapper is consulted strictly read-only (Lookup:
+// no frame allocation, no TLB fill): Translate hands out frames in
+// first-touch order, and a first touch from inside a stretch would
+// move that order. The L1 it mutates on a hit is this core's own. An
+// unmapped page reports a miss, and the sequential resume path
+// performs the canonical first-touch through Translate — including
+// the corner where a fault-plan Remap recycled a frame under a
+// still-resident L1 line, which access() then resolves.
 func (s *System) windowProbeL1(va mem.Addr, write bool) (sim.Cycle, bool) {
 	pa, ok := s.mapper.Lookup(va)
 	if !ok {

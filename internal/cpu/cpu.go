@@ -158,12 +158,11 @@ type Processor struct {
 	// Windowed (domain) execution mode, used by the multi-core
 	// machine's conservative time windows (window.go): issue-cycle
 	// steps arm a register instead of entering the event queue, and
-	// stretches — private advances that may run concurrently with
-	// other cores' — probe the L1 through the read-only probe
-	// installed by SetWindowed and buffer L1-hit completions in
-	// ring/ringHead until their due cycle. Kept at the tail of the
-	// struct so the single-core machine's hot fields keep their cache
-	// layout.
+	// stretches — private advances off the engine clock — probe the
+	// L1 through the read-only probe installed by SetWindowed and
+	// buffer L1-hit completions in ring/ringHead until their due
+	// cycle. Kept at the tail of the struct so the single-core
+	// machine's hot fields keep their cache layout.
 	windowed bool
 	armed    bool
 	probe    func(a mem.Addr, write bool) (rt sim.Cycle, hit bool)
@@ -172,8 +171,8 @@ type Processor struct {
 
 	// Stretch exit latches (window.go): a mid-cycle L1 miss or stream
 	// retirement observed inside a stretch cannot touch the engine (it
-	// runs off-clock, possibly on another goroutine), so it is buffered
-	// here and committed to the queue at the window barrier.
+	// runs off-clock), so it is buffered here and committed to the
+	// queue at the window barrier.
 	strMissed   bool
 	strMissAt   sim.Cycle
 	strIssued   int
@@ -225,9 +224,8 @@ const (
 // the processor is its own sim.Actor, so the issue loop schedules
 // allocation-free. In windowed mode the step arms a register instead:
 // the DomainEngine dispatches armed steps under the canonical order
-// (queue events first at a tie, then lowest core id), so keeping them
-// out of the shared queue is what makes the schedule worker-count
-// independent.
+// (queue events first at a tie, then lowest core id), and a stretch
+// retires them without the shared queue.
 func (p *Processor) scheduleStep(d sim.Cycle) {
 	if p.windowed {
 		p.armed, p.stepAt = true, p.eng.Now()+d

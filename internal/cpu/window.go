@@ -15,22 +15,20 @@ import (
 // [ts, H) — H bounded by the earliest pending queue event — every
 // armed core whose step falls inside it runs a *stretch*: a tight
 // loop over the core's issue steps and L1-hit completions, entirely
-// off the engine clock, so stretches of different cores may run on
-// different goroutines concurrently.
+// off the engine clock.
 //
-// A stretch is safe to run concurrently because it is confined to the
-// core's private closed subsystem: compute retirement, L1-hit probes
-// (the window probe — page-mapper Lookup is read-only, the L1 itself is
-// per-core), and the local completion ring. The first thing it cannot
-// retire privately — an L1 miss, stream retirement, a hazard whose
-// unblocker is an engine event, or the window horizon — ends it.
-// Cross-domain effects are latched (strMissed/strFinished, the ring)
-// and only published by CommitStretch, which the DomainEngine calls
-// sequentially at the window barrier in core-id order. That barrier
-// order, plus "queue events fire before armed steps at a tie, lowest
-// core id first among armed steps", is the canonical schedule: it is
-// a function of simulation state only, never of worker count, which
-// is why -intra-j N is byte-identical to -intra-j 1.
+// A stretch may run ahead of the engine clock because it is confined
+// to the core's private closed subsystem: compute retirement, L1-hit
+// probes (the window probe — page-mapper Lookup is read-only, the L1
+// itself is per-core), and the local completion ring. The first thing
+// it cannot retire privately — an L1 miss, stream retirement, a
+// hazard whose unblocker is an engine event, or the window horizon —
+// ends it. Cross-domain effects are latched (strMissed/strFinished,
+// the ring) and only published by CommitStretch, which the
+// DomainEngine calls at the window barrier in core-id order. That
+// barrier order, plus "queue events fire before armed steps at a tie,
+// lowest core id first among armed steps", is the canonical schedule:
+// a function of simulation state only.
 //
 // Inside a stretch the loop replays its two occurrence types — issue
 // steps and L1-hit completions — in the order the event queue would
@@ -68,9 +66,10 @@ func (p *Processor) Armed() (sim.Cycle, bool) { return p.stepAt, p.armed }
 
 // RunStretch consumes the armed register and advances the core's
 // private subsystem from its armed step up to (but excluding)
-// horizon. It must not touch the engine or any shared state: other
-// cores' stretches may be running concurrently. The caller only
-// invokes it when Armed() reports a step strictly before horizon.
+// horizon. It must not touch the engine or any shared state: the
+// stretch runs ahead of the engine clock, and only CommitStretch may
+// publish its effects. The caller only invokes it when Armed()
+// reports a step strictly before horizon.
 func (p *Processor) RunStretch(horizon sim.Cycle) {
 	p.armed = false
 	hasStep, stepAt := true, p.stepAt

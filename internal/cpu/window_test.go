@@ -37,9 +37,9 @@ func (d procDomain) Stretch(h sim.Cycle)        { d.p.RunStretch(h) }
 func (d procDomain) Commit()                    { d.p.CommitStretch() }
 
 // runWindowed runs p, set up with SetWindowed, as the one domain of a
-// sequential DomainEngine over eng until nothing remains.
+// DomainEngine over eng until nothing remains.
 func runWindowed(eng *sim.Engine, p *Processor) {
-	de := sim.NewDomainEngine(eng, 1)
+	de := sim.NewDomainEngine(eng)
 	de.Add(procDomain{p})
 	de.Run()
 }

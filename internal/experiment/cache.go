@@ -31,8 +31,7 @@ import (
 //   - the canonical RunKey encoding (length-prefixed, so no two
 //     distinct (app, label) or (kind, name) pairs can collide — see
 //     FuzzCacheKey),
-//   - the Options behavior fingerprint (scale, seed, kernel, fault
-//     plan),
+//   - the Options behavior fingerprint (scale, seed, fault plan),
 //   - CacheBehaviorVersion, a code-behavior constant bumped whenever a
 //     change legitimately moves report_sha256; entries from an older
 //     code generation are detected as stale and recomputed, never
@@ -74,12 +73,13 @@ var cacheVersion uint64 = CacheBehaviorVersion
 
 // fingerprint is the Options half of every cache key: the options
 // that change simulated behavior. Its text is part of every existing
-// entry's address, so it must not change without a version bump; the
-// literal "fastpath=true" is part of that text.
+// entry's address, so it must not change without a version bump
+// (TestCacheAddressPinned); the literals "kernel=0" and
+// "fastpath=true" are part of that text.
 func (o Options) fingerprint() [32]byte {
 	return sha256.Sum256([]byte(fmt.Sprintf(
-		"ulmt-run/v1|scale=%s|seed=%d|kernel=%d|fastpath=true|faults=%s",
-		o.Scale.String(), o.Seed, int(o.Kernel), o.FaultTag)))
+		"ulmt-run/v1|scale=%s|seed=%d|kernel=0|fastpath=true|faults=%s",
+		o.Scale.String(), o.Seed, o.FaultTag)))
 }
 
 // Artifact kinds stored beside the "run" Results entries.

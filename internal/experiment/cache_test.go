@@ -179,6 +179,30 @@ func TestCacheStaleVersion(t *testing.T) {
 	}
 }
 
+// TestCacheAddressPinned pins one entry's on-disk address. The
+// address hashes the run key and the Options fingerprint text, so an
+// edit to that text (a renamed field, a dropped literal) silently
+// orphans every entry an earlier build wrote: they are never found
+// again, read as misses rather than stale, and are recomputed. Such
+// an edit is only legitimate together with a CacheBehaviorVersion
+// bump, which is when this pin is re-recorded.
+func TestCacheAddressPinned(t *testing.T) {
+	const (
+		pinnedVersion = 1
+		want          = "1f936d44a2584b9da5fc301215db200b2924862bccfc6b2a5d6a99bc9ecff2b1"
+	)
+	got := entryAddr(runRef(RunKey{App: "Mcf", Label: CfgRepl}),
+		Options{Scale: workload.ScaleTiny, Seed: 1}.fingerprint())
+	if CacheBehaviorVersion != pinnedVersion {
+		t.Fatalf("CacheBehaviorVersion is %d, pin was recorded at %d: re-record pinnedVersion and want (address now %s)",
+			CacheBehaviorVersion, pinnedVersion, got)
+	}
+	if got != want {
+		t.Fatalf("Mcf/Repl tiny seed-1 cache address moved without a CacheBehaviorVersion bump:\n got  %s\n want %s",
+			got, want)
+	}
+}
+
 // TestCacheCorruptEntry checks a truncated or garbage entry is
 // treated as stale and recomputed, never rendered.
 func TestCacheCorruptEntry(t *testing.T) {

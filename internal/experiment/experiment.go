@@ -17,7 +17,6 @@ import (
 	"ulmt/internal/mem"
 	"ulmt/internal/memproc"
 	"ulmt/internal/prefetch"
-	"ulmt/internal/sim"
 	"ulmt/internal/table"
 	"ulmt/internal/trace"
 	"ulmt/internal/workload"
@@ -54,10 +53,6 @@ type Options struct {
 	// schedule into every simulated run of this invocation, so any
 	// table or figure can be regenerated under degraded conditions.
 	Faults *fault.Plan
-	// Kernel selects the event-queue backend for every run (zero
-	// value: the default wheel). Exists for the kernel-equivalence
-	// suite; reports are bit-identical across backends.
-	Kernel sim.Kernel
 
 	// RunTimeout, if positive, bounds each simulation attempt's wall
 	// clock; a run past it is aborted and retried.
@@ -82,12 +77,10 @@ type Options struct {
 	// ULMT, >=1 shards one shared table across that many memory
 	// threads).
 	Shards int
-	// IntraJobs is the intra-run worker count for multicore machines
-	// (the -intra-j flag): 1 runs every core stretch on the driving
-	// goroutine (the sequential oracle), 0 means GOMAXPROCS, N > 1
-	// uses N workers. Reports are byte-identical at any value — an
-	// N >= 2 machine always executes the windowed canonical schedule,
-	// and IntraJobs only picks how many goroutines advance it.
+	// IntraJobs is ignored: a multicore machine runs its windowed
+	// schedule on the calling goroutine. It is kept only for the
+	// benchmark harness, which still sets it; Validate still rejects
+	// a negative value.
 	IntraJobs int
 	// CacheDir roots the persistent content-addressed result cache
 	// (the -cache-dir flag; "" disables). One directory serves every
@@ -140,7 +133,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("experiment: -shards must be >= 0, got %d", o.Shards)
 	}
 	if o.IntraJobs < 0 {
-		return fmt.Errorf("experiment: -intra-j must be >= 0, got %d", o.IntraJobs)
+		return fmt.Errorf("experiment: IntraJobs must be >= 0, got %d", o.IntraJobs)
 	}
 	if o.MemBudget < 0 {
 		return fmt.Errorf("experiment: -mem-budget must be >= 0, got %d", o.MemBudget)
@@ -338,7 +331,6 @@ func (r *Runner) BuildConfig(app, label string) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Seed = r.opt.Seed
 	cfg.Faults = r.opt.Faults
-	cfg.Kernel = r.opt.Kernel
 	rows := r.NumRows(app)
 
 	newRepl := func(levels int) prefetch.Algorithm {

@@ -13,13 +13,13 @@ import (
 	"testing"
 
 	"ulmt/internal/core"
-	"ulmt/internal/sim"
 	"ulmt/internal/workload"
 )
 
-// The golden fingerprint file was generated with the legacy
-// container/heap event kernel before the bucket-wheel kernel existed
-// (go test ./internal/experiment -run TestGoldenKernel -update-golden).
+// The golden fingerprint file was generated with the original
+// container/heap event queue before the bucket wheel existed (go test
+// ./internal/experiment -run TestGoldenKernel -update-golden); that
+// queue now survives only as the test-side reference in internal/sim.
 // Every kernel since must reproduce it bit for bit: the per-run
 // digests cover demand misses, the full cache statistics, the final
 // cache-content fingerprint and the run length, and the report digest
@@ -56,58 +56,11 @@ func runDigest(res core.Results) string {
 		res.CrossMatchedDemand, res.CrossMatchedPush)
 }
 
-// applyKernelOption selects the event-kernel backend for a golden
-// collection; "default" leaves Options untouched.
-func applyKernelOption(opt *Options, kernel string) {
-	switch kernel {
-	case "default":
-	case "wheel":
-		opt.Kernel = sim.KernelWheel
-	case "heap":
-		opt.Kernel = sim.KernelHeap
-	default:
-		panic("unknown kernel " + kernel)
-	}
-}
-
-// TestKernelBackendEquivalence runs a representative slice of the
-// matrix (one pointer-chasing app, the richest configurations) on
-// both backends in-process and compares the full Results digests.
-// The golden file already pins the wheel against a heap-generated
-// recording; this test keeps the cross-check alive even after the
-// golden file is ever regenerated.
-func TestKernelBackendEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full runs per label")
-	}
-	labels := []string{CfgNoPref, CfgConvenReplMC, CfgDASP, CfgSeq4Repl}
-	const app = "Mcf"
-	mk := func(kernel string) map[string]string {
-		opt := Options{Scale: workload.ScaleTiny, Seed: 1}
-		applyKernelOption(&opt, kernel)
-		r := NewRunner(opt)
-		out := make(map[string]string, len(labels))
-		for _, l := range labels {
-			out[l] = runDigest(r.Run(app, l))
-		}
-		return out
-	}
-	wheel, heap := mk("wheel"), mk("heap")
-	for _, l := range labels {
-		if wheel[l] != heap[l] {
-			t.Errorf("%s/%s diverged across kernels:\n wheel %s\n heap  %s",
-				app, l, wheel[l], heap[l])
-		}
-	}
-}
-
 // collectGolden executes the whole `-exp all` matrix at tiny scale
-// under the given kernel and returns the fingerprints.
-func collectGolden(t *testing.T, kernel string) goldenFile {
+// and returns the fingerprints.
+func collectGolden(t *testing.T) goldenFile {
 	t.Helper()
-	opt := Options{Scale: workload.ScaleTiny, Seed: 1}
-	applyKernelOption(&opt, kernel)
-	r := NewRunner(opt)
+	r := NewRunner(Options{Scale: workload.ScaleTiny, Seed: 1})
 	keys := r.PlanRuns(AllOrder)
 	if err := r.ExecuteAll(nil, keys, 2, nil); err != nil {
 		t.Fatalf("ExecuteAll: %v", err)
@@ -128,10 +81,10 @@ func collectGolden(t *testing.T, kernel string) goldenFile {
 	return g
 }
 
-// TestGoldenKernel proves the active event kernel reproduces the
+// TestGoldenKernel proves the event kernel reproduces the
 // pre-recorded run matrix bit for bit.
 func TestGoldenKernel(t *testing.T) {
-	got := collectGolden(t, "default")
+	got := collectGolden(t)
 
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {

@@ -43,9 +43,8 @@ func (r *Runner) MulticoreMix(n int, withPrefetch bool) (core.MulticoreResults, 
 	base := core.DefaultConfig()
 	base.Seed = r.opt.Seed
 	base.Faults = r.opt.Faults
-	base.Kernel = r.opt.Kernel
 
-	mc := core.MulticoreConfig{Base: base, IntraJ: r.opt.IntraJobs}
+	mc := core.MulticoreConfig{Base: base}
 	names := make([]string, 0, n)
 	maxRows := 0
 	for i := 0; i < n; i++ {

@@ -82,7 +82,6 @@ func (r *Runner) sweepConfig(app, label string) (core.Config, bool) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = r.opt.Seed
 	cfg.Faults = r.opt.Faults
-	cfg.Kernel = r.opt.Kernel
 	switch {
 	case strings.HasPrefix(rest, "NumLevels="):
 		levels, err := strconv.Atoi(strings.TrimPrefix(rest, "NumLevels="))

@@ -94,9 +94,10 @@ func (m *PageMapper) Translate(v Addr) Addr {
 // Lookup translates without mutating the mapper: no frame allocation,
 // no TLB fill. The second result is false when the page has never been
 // touched (Translate would allocate a frame). Windowed core stretches
-// use this concurrently — it only reads table and tlb, and both are
-// written exclusively between windows, so concurrent Lookups are
-// race-free.
+// use this: a stretch runs ahead of the engine clock, and Translate
+// hands out frames in first-touch order, so a first touch from inside
+// a stretch would move that order. Lookup only reads table and tlb,
+// which change only between windows.
 func (m *PageMapper) Lookup(v Addr) (Addr, bool) {
 	if m.linear {
 		return v, true

@@ -77,13 +77,28 @@ func (a *mixedActor) Fire(kind Kind, ev Event) {
 	}
 }
 
-// BenchmarkEngineMixedHorizonHeap is the same mix on the legacy
-// container/heap backend, for before/after comparison.
+// BenchmarkEngineMixedHorizonHeap is the same mix on the reference
+// container/heap queue (refheap_test.go), for before/after comparison.
 func BenchmarkEngineMixedHorizonHeap(b *testing.B) {
-	e := NewEngineWithKernel(KernelHeap)
-	a := &mixedActor{eng: e, limit: b.N}
+	e := &heapEngine{}
+	a := &mixedHeapActor{eng: e, limit: b.N}
 	e.Schedule(0, a, 0, Event{})
 	e.Run()
+}
+
+// mixedHeapActor is mixedActor on the reference heap, kept a concrete
+// type so neither benchmark pays for an interface call.
+type mixedHeapActor struct {
+	eng   *heapEngine
+	n     int
+	limit int
+}
+
+func (a *mixedHeapActor) Fire(kind Kind, ev Event) {
+	a.n++
+	if a.n < a.limit {
+		a.eng.ScheduleAfter(mixedHorizons[a.n&15], a, kind, ev)
+	}
 }
 
 // BenchmarkEngineFanOutTyped replays the fan-out shape without the

@@ -84,19 +84,6 @@ type event struct {
 // any feasible run.
 const kindBits = 16
 
-// Kernel selects the event-queue backend.
-type Kernel int
-
-const (
-	// KernelWheel is the default: the allocation-free bucket wheel
-	// with a spill heap (wheel.go).
-	KernelWheel Kernel = iota
-	// KernelHeap is the original container/heap queue (legacy.go),
-	// kept as the reference implementation for equivalence tests. It
-	// boxes every push and pop.
-	KernelHeap
-)
-
 // Engine is the event-driven simulation kernel. The zero value is not
 // usable; construct with NewEngine.
 //
@@ -105,8 +92,7 @@ const (
 //   - Now never decreases. Step sets it to the fired event's cycle;
 //     RunUntil additionally advances it to the deadline when the
 //     queue runs dry early.
-//   - Events at the same cycle fire in scheduling order (FIFO),
-//     regardless of backend.
+//   - Events at the same cycle fire in scheduling order (FIFO).
 //   - Fired counts exactly the events executed; RunUntil moving the
 //     clock past quiet cycles does not increment it, so Fired+Pending
 //     is conserved by pure time passage. A multi-core machine's
@@ -114,27 +100,14 @@ const (
 //     entering the queue, so Fired measures event *churn*, not
 //     simulated work.
 type Engine struct {
-	now    Cycle
-	seq    uint64
-	fired  uint64
-	wheel  wheel
-	legacy *legacyHeap
+	now   Cycle
+	seq   uint64
+	fired uint64
+	wheel wheel
 }
 
-// NewEngine returns an engine at cycle 0 with an empty event queue,
-// on the default (wheel) backend.
-func NewEngine() *Engine { return NewEngineWithKernel(KernelWheel) }
-
-// NewEngineWithKernel returns an engine on an explicit backend.
-// Both backends are observationally identical (proven by the
-// equivalence suite); KernelHeap exists so tests can cross-check.
-func NewEngineWithKernel(k Kernel) *Engine {
-	e := &Engine{}
-	if k == KernelHeap {
-		e.legacy = newLegacyHeap()
-	}
-	return e
-}
+// NewEngine returns an engine at cycle 0 with an empty event queue.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
@@ -154,23 +127,17 @@ func (e *Engine) push(c Cycle, kind Kind, i0, i1 uint64, p any, a Actor) {
 		panic("sim: event kind out of range")
 	}
 	e.seq++
-	if e.legacy == nil {
-		if sl := e.wheel.slot(c); sl != nil {
-			// Common case: the event lands inside the wheel window.
-			// Construct it in place in the bucket — no stack temporary.
-			sl.at = c
-			sl.seqKind = e.seq<<kindBits | uint64(kind)
-			sl.i0, sl.i1 = i0, i1
-			sl.p, sl.actor = p, a
-			return
-		}
+	if sl := e.wheel.slot(c); sl != nil {
+		// Common case: the event lands inside the wheel window.
+		// Construct it in place in the bucket — no stack temporary.
+		sl.at = c
+		sl.seqKind = e.seq<<kindBits | uint64(kind)
+		sl.i0, sl.i1 = i0, i1
+		sl.p, sl.actor = p, a
+		return
 	}
 	ev := event{at: c, seqKind: e.seq<<kindBits | uint64(kind), i0: i0, i1: i1, p: p, actor: a}
-	if e.legacy != nil {
-		e.legacy.push(&ev)
-	} else {
-		e.wheel.over.push(&ev)
-	}
+	e.wheel.over.push(&ev)
 }
 
 // saturate returns now+d, clamped to Forever on overflow. Negative
@@ -217,13 +184,7 @@ func (e *Engine) After(d Cycle, fn func()) {
 // reports false when the queue is empty.
 func (e *Engine) Step() bool {
 	var ev event
-	var ok bool
-	if e.legacy != nil {
-		ok = e.legacy.pop(&ev)
-	} else {
-		ok = e.wheel.pop(&ev)
-	}
-	if !ok {
+	if !e.wheel.pop(&ev) {
 		return false
 	}
 	e.now = ev.at
@@ -236,20 +197,12 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// peekAt returns the cycle of the earliest pending event.
-func (e *Engine) peekAt() (Cycle, bool) {
-	if e.legacy != nil {
-		return e.legacy.peekAt()
-	}
-	return e.wheel.peekAt()
-}
-
 // NextAt reports the cycle of the earliest pending event, or false
 // when the queue is empty. It is the horizon of a DomainEngine
 // window: as long as a domain's private activity stays strictly
 // before NextAt, nothing else in the machine can observe those
 // cycles, so they need not pass through the queue.
-func (e *Engine) NextAt() (Cycle, bool) { return e.peekAt() }
+func (e *Engine) NextAt() (Cycle, bool) { return e.wheel.peekAt() }
 
 // Run fires events until the queue drains.
 func (e *Engine) Run() {
@@ -265,7 +218,7 @@ func (e *Engine) Run() {
 // events actually executed — idle time passing never increments it.
 func (e *Engine) RunUntil(deadline Cycle) {
 	for {
-		t, ok := e.peekAt()
+		t, ok := e.NextAt()
 		if !ok || t > deadline {
 			break
 		}
@@ -273,22 +226,15 @@ func (e *Engine) RunUntil(deadline Cycle) {
 	}
 	if e.now < deadline {
 		e.now = deadline
-		if e.legacy == nil {
-			// No pending event is earlier than the deadline, so the
-			// wheel window can jump forward wholesale (spilling any
-			// overflow events that fall into the new window).
-			e.wheel.advanceTo(deadline)
-		}
+		// No pending event is earlier than the deadline, so the
+		// wheel window can jump forward wholesale (spilling any
+		// overflow events that fall into the new window).
+		e.wheel.advanceTo(deadline)
 	}
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int {
-	if e.legacy != nil {
-		return e.legacy.len()
-	}
-	return e.wheel.len()
-}
+func (e *Engine) Pending() int { return e.wheel.len() }
 
 // Fired reports the total number of events executed, a cheap progress
 // and regression metric for tests and benchmarks.

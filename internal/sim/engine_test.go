@@ -130,19 +130,22 @@ func TestEngineDeterminism(t *testing.T) {
 }
 
 func TestEngineNextAt(t *testing.T) {
-	for _, k := range []Kernel{KernelWheel, KernelHeap} {
-		e := NewEngineWithKernel(k)
+	for _, q := range []struct {
+		name string
+		e    queue
+	}{{"wheel", NewEngine()}, {"heap", &heapEngine{}}} {
+		e := q.e
 		if _, ok := e.NextAt(); ok {
-			t.Errorf("kernel %d: NextAt on empty queue reported an event", k)
+			t.Errorf("%s: NextAt on empty queue reported an event", q.name)
 		}
 		e.At(40, func() {})
 		e.At(7, func() {})
 		if at, ok := e.NextAt(); !ok || at != 7 {
-			t.Errorf("kernel %d: NextAt = %d,%v, want 7,true", k, at, ok)
+			t.Errorf("%s: NextAt = %d,%v, want 7,true", q.name, at, ok)
 		}
 		e.Step()
 		if at, ok := e.NextAt(); !ok || at != 40 {
-			t.Errorf("kernel %d: NextAt after Step = %d,%v, want 40,true", k, at, ok)
+			t.Errorf("%s: NextAt after Step = %d,%v, want 40,true", q.name, at, ok)
 		}
 	}
 }

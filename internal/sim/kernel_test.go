@@ -5,7 +5,8 @@ import (
 )
 
 // splitmix64 is the deterministic generator for equivalence
-// workloads: both kernels must see the identical schedule.
+// workloads: the wheel and the reference heap must see the identical
+// schedule.
 type splitmix64 uint64
 
 func (s *splitmix64) next() uint64 {
@@ -22,7 +23,7 @@ func (s *splitmix64) next() uint64 {
 // and far-future (overflow) delays, including zero-delay same-cycle
 // chains.
 type chaosActor struct {
-	eng    *Engine
+	eng    queue
 	rng    *splitmix64
 	budget int
 	log    []uint64
@@ -53,8 +54,7 @@ func (a *chaosActor) Fire(kind Kind, ev Event) {
 	}
 }
 
-func runChaos(k Kernel, seed uint64) (log []uint64, fired uint64, end Cycle) {
-	e := NewEngineWithKernel(k)
+func runChaos(e queue, seed uint64) (log []uint64, fired uint64, end Cycle) {
 	rng := splitmix64(seed)
 	a := &chaosActor{eng: e, rng: &rng, budget: 20000}
 	for i := 0; i < 16; i++ {
@@ -64,12 +64,13 @@ func runChaos(k Kernel, seed uint64) (log []uint64, fired uint64, end Cycle) {
 	return a.log, e.Fired(), e.Now()
 }
 
-// TestKernelEquivalence proves the wheel and the legacy heap fire an
-// adversarial event mix in the identical order, cycle for cycle.
+// TestKernelEquivalence proves the wheel and the reference heap
+// (refheap_test.go) fire an adversarial event mix in the identical
+// order, cycle for cycle.
 func TestKernelEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		wl, wf, wn := runChaos(KernelWheel, seed)
-		hl, hf, hn := runChaos(KernelHeap, seed)
+		wl, wf, wn := runChaos(NewEngine(), seed)
+		hl, hf, hn := runChaos(&heapEngine{}, seed)
 		if wf != hf || wn != hn {
 			t.Fatalf("seed %d: wheel fired=%d end=%d, heap fired=%d end=%d",
 				seed, wf, wn, hf, hn)
@@ -86,20 +87,19 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelEquivalenceRunUntil drives both kernels through the same
+// TestKernelEquivalenceRunUntil drives both queues through the same
 // schedule in RunUntil slices (the chaos schedule plus idle gaps) and
 // demands identical clocks, fired counts and pending counts at every
 // slice boundary.
 func TestKernelEquivalenceRunUntil(t *testing.T) {
-	mk := func(k Kernel) (*Engine, *chaosActor) {
-		e := NewEngineWithKernel(k)
+	mk := func(e queue) *chaosActor {
 		rng := splitmix64(42)
 		a := &chaosActor{eng: e, rng: &rng, budget: 5000}
 		e.Schedule(0, a, 0, Event{})
-		return e, a
+		return a
 	}
-	we, wa := mk(KernelWheel)
-	he, ha := mk(KernelHeap)
+	we, he := NewEngine(), &heapEngine{}
+	wa, ha := mk(we), mk(he)
 	for d := Cycle(0); we.Pending() > 0 || he.Pending() > 0; d += 7919 {
 		we.RunUntil(d)
 		he.RunUntil(d)
