@@ -8,11 +8,10 @@
 //	ulmtsim [-exp all|table1..table5|fig5..fig11|ablation|sweep|faults|multicore]
 //	        [-scale tiny|small|medium|large] [-apps CG,Mcf,...] [-seed N]
 //	        [-j N] [-faults off|light|heavy|k=v,...] [-fault-seed N]
-//	        [-cores N] [-shards N]
-//	        [-run-timeout D] [-retries N]
+//	        [-cores N] [-shards N] [-run-timeout D]
 //	        [-cache-dir DIR] [-mem-budget MIB]
 //	        [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
-//	        [-gcpercent N] [-memlimit BYTES] [-bench-json FILE]
+//	        [-bench-json FILE]
 //
 // With -cache-dir, every completed run's results (and the derived
 // per-application artifacts: Table 2 sizing, Fig 5 accuracies) are
@@ -21,20 +20,21 @@
 // code-behavior version constant. A later invocation with the same
 // parameters replays from disk instead of simulating, rendering a
 // byte-identical report in seconds; entries written by a different
-// scale, seed, fault plan or code generation are never served
-// (they're counted as stale and recomputed). Omitting -cache-dir
-// simulates everything, the equivalence oracle for a warm cache. The
-// footer reports hits, misses and stale entries.
+// scale, seed, fault plan or code generation, and entries that fail
+// their checksum or core.Results.Check, are never served (they're
+// counted as stale and recomputed). Omitting -cache-dir simulates
+// everything, the equivalence oracle for a warm cache. The footer
+// reports hits, misses and stale entries.
 //
 // -mem-budget caps the bytes the recycled correlation-table arena
 // pool retains between simulations (default 192 MiB, 0 = uncapped):
 // parking an arena that does not fit evicts pooled arenas
 // largest-first, and an arena larger than the cap is dropped (the
 // next same-geometry build allocates fresh — slower, never wrong). An
-// active cap also drops the GC target to 50% unless -gcpercent
-// overrides it, so GOGC headroom does not re-inflate what the cap
-// squeezed out; the pointer-free simulation heap makes the extra GC
-// cycles effectively free.
+// active cap also drops the GC target to 50% unless the GOGC
+// environment variable sets one, so GC headroom does not re-inflate
+// what the cap squeezed out; the pointer-free simulation heap makes
+// the extra GC cycles effectively free.
 //
 // SIGINT/SIGTERM during the run matrix aborts the in-flight runs,
 // skips the queued ones and exits without rendering a partial report.
@@ -46,9 +46,10 @@
 // matrix (rendering, and experiments that simulate while rendering,
 // such as -exp multicore), and for a second signal during it, the
 // signal has its default effect and ends the process.
-// -run-timeout and -retries bound each simulation attempt: a run that
-// panics or exceeds the watchdog is retried with backoff, and only
-// counts as failed once the retry budget is exhausted.
+// A run that panics, exceeds the -run-timeout watchdog, or breaks a
+// machine invariant (core.Results.Check) fails once, with an error
+// naming it: simulations are deterministic, so a retry would fail
+// again.
 //
 // The profiling flags wrap the whole run in the standard pprof /
 // runtime-trace collectors: -cpuprofile and -trace record while the
@@ -56,13 +57,11 @@
 // (after a GC, so it shows live retention, not garbage). Inspect with
 // `go tool pprof` / `go tool trace`.
 //
-// The host runtime's GC is observable and steerable: -gcpercent and
-// -memlimit forward to debug.SetGCPercent / debug.SetMemoryLimit, the
-// report ends with a "# host:" footer line (peak heap, GC cycles and
-// pause, wall clock, events fired and events/s), and -bench-json
-// writes those numbers plus a SHA-256 of the report to FILE for
-// machine-readable perf tracking (see BENCH_ulmt.json at the
-// repository root).
+// The host runtime's GC is observable: the report ends with a
+// "# host:" footer line (peak heap, GC cycles and pause, wall clock,
+// events fired and events/s), and -bench-json writes those numbers
+// plus a SHA-256 of the report to FILE for machine-readable perf
+// tracking (see BENCH_ulmt.json at the repository root).
 //
 // The sweep's identity points (Sweep/NumLevels=3, Sweep/NumRows*1)
 // build exactly their app's Repl machine, so they reuse the Repl run
@@ -132,11 +131,8 @@ func run() error {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a post-run heap profile to this file")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
-	gcPercent := flag.Int("gcpercent", -1, "set the host GC target percentage (debug.SetGCPercent); -1 uses 50 when -mem-budget is active, GOGC otherwise")
-	memLimit := flag.Int64("memlimit", 0, "set a soft host heap limit in bytes (debug.SetMemoryLimit); 0 leaves it alone")
 	benchJSON := flag.String("bench-json", "", "write headline run metrics as JSON to this file")
-	runTimeout := flag.Duration("run-timeout", 0, "per-simulation wall-clock watchdog; a run past it is aborted and retried (0 = off)")
-	retries := flag.Int("retries", 2, "times a panicked or timed-out run is re-attempted before being reported failed")
+	runTimeout := flag.Duration("run-timeout", 0, "per-simulation wall-clock watchdog; a run past it is aborted and reported failed (0 = off)")
 	cores := flag.Int("cores", 0, "main-processor count for -exp multicore (0 sweeps 2/4/8)")
 	shards := flag.Int("shards", 0, "correlation-table shards for -exp multicore (0 = private per-core ULMTs, >=1 = one shared table across that many memory threads)")
 	cacheDir := flag.String("cache-dir", "", "persist completed results and derived artifacts in a content-addressed cache under this directory; later invocations with the same parameters replay from it")
@@ -147,21 +143,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case *gcPercent >= 0:
-		debug.SetGCPercent(*gcPercent)
-	case memBudgetBytes > 0:
+	if memBudgetBytes > 0 && os.Getenv("GOGC") == "" {
 		// A retention cap says the user wants peak heap bounded, and
-		// GOGC's default 100% headroom would re-inflate whatever the
+		// the default 100% GC headroom would re-inflate whatever the
 		// cap squeezed out. The simulation heap is deliberately
 		// pointer-free (packed arenas), so marking twice as often costs
 		// ~1ms a cycle and measures slightly FASTER than GOGC=100 at
 		// medium scale — the smaller heap is kinder to the caches.
-		// An explicit -gcpercent always wins.
+		// An explicit GOGC always wins.
 		debug.SetGCPercent(50)
-	}
-	if *memLimit > 0 {
-		debug.SetMemoryLimit(*memLimit)
 	}
 
 	if *cpuProfile != "" {
@@ -211,12 +201,9 @@ func run() error {
 	}
 	opt := experiment.Options{
 		Scale: scale, Seed: *seed, Faults: plan,
-		RunTimeout: *runTimeout, MaxRetries: *retries, Jobs: *jobs,
+		RunTimeout: *runTimeout, Jobs: *jobs,
 		Cores: *cores, Shards: *shards,
 		CacheDir: *cacheDir, MemBudget: memBudgetBytes,
-	}
-	if plan != nil {
-		opt.FaultTag = *faultSpec
 	}
 	if *appsFlag != "" {
 		for _, a := range strings.Split(*appsFlag, ",") {
@@ -268,7 +255,7 @@ func run() error {
 		execErr := r.ExecuteAll(ctx, keys, *jobs, p.update)
 		p.finish()
 		if execErr != nil {
-			fmt.Fprintf(os.Stderr, "ulmtsim: runs retried %d, failed %d\n", r.Retried(), r.Failed())
+			fmt.Fprintf(os.Stderr, "ulmtsim: runs failed %d\n", r.Failed())
 			if r.Interrupted() && r.Cache() != nil {
 				fmt.Fprintf(os.Stderr, "ulmtsim: completed runs are cached under %s; re-run the same command to continue\n", *cacheDir)
 			}
@@ -306,10 +293,10 @@ func run() error {
 		cacheHits, cacheMisses, cacheStale = c.Hits(), c.Misses(), c.Stale()
 		cacheNote = fmt.Sprintf(", cache hits %d, misses %d, stale %d", cacheHits, cacheMisses, cacheStale)
 	}
-	fmt.Printf("# host: peak heap %.1f MiB, GC cycles %d, GC pause %s, wall %s, events %s (%s/s), runs retried %d, failed %d, aliased %d, scratch %d%s\n",
+	fmt.Printf("# host: peak heap %.1f MiB, GC cycles %d, GC pause %s, wall %s, events %s (%s/s), runs failed %d, aliased %d, scratch %d%s\n",
 		float64(m.peakHeap)/(1<<20), m.gcCycles,
 		time.Duration(m.gcPauseNs).Round(time.Microsecond), wall.Round(time.Millisecond),
-		humanCount(events), rate, r.Retried(), r.Failed(),
+		humanCount(events), rate, r.Failed(),
 		r.ForkedRuns(), r.ScratchRuns(), cacheNote)
 
 	if *benchJSON != "" {

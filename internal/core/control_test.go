@@ -65,7 +65,7 @@ func ckptConfigs() map[string]func() Config {
 
 // abortAt runs cfg on a fresh machine, aborts it from an event at
 // cycle at, and then retires its correlation tables to the arena pool
-// the way the experiment runner retires an aborted attempt's.
+// the way the experiment runner retires an aborted run's.
 func abortAt(t *testing.T, cfg Config, ops []workload.Op, at sim.Cycle) RunOutcome {
 	t.Helper()
 	sys := mustSystem(cfg)
@@ -105,12 +105,12 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointChainedResume interrupts the recovery too, as the
-// runner's retry loop can when the watchdog aborts a retry: a run
-// aborted a quarter of the way through, its rerun aborted halfway
+// TestAbortChainedRerun interrupts the recovery too, as a second
+// interrupt can when an interrupted matrix is rerun over its cache: a
+// run aborted a quarter of the way through, its rerun aborted halfway
 // (drawing the first run's recycled arenas), and a third run to
 // completion must still match the uninterrupted run.
-func TestCheckpointChainedResume(t *testing.T) {
+func TestAbortChainedRerun(t *testing.T) {
 	ops := ckptOps(t)
 	mk := ckptConfigs()["Repl+Conven"]
 	want := mustSystem(mk()).Run("Mcf", ops)
@@ -121,7 +121,7 @@ func TestCheckpointChainedResume(t *testing.T) {
 		}
 	}
 	if got := mustSystem(mk()).Run("Mcf", ops); !reflect.DeepEqual(got, want) {
-		t.Errorf("run after two aborted attempts diverges:\n got %+v\nwant %+v", got, want)
+		t.Errorf("run after two aborted runs diverges:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -217,7 +217,7 @@ func (s *System) replyArrives(pm *l2Miss) {
 		// lumped into NonPrefMisses in Fig 9 (§5.2).
 		s.outcomes.NonPrefMisses++
 	}
-	s.completeL2(pm, lvl, false)
+	s.completeL2(pm, lvl)
 	s.pumpMemory()
 }
 
@@ -269,7 +269,7 @@ func (s *System) pushArrivesAtL2(line mem.Line) {
 		s.outcomes.DelayedHits++
 		s.l2.StealMSHR(pm.mshrID)
 		pm.satisfied = true
-		s.completeL2(pm, cpu.LevelMem, true)
+		s.completeL2(pm, cpu.LevelMem)
 		return
 	}
 	outcome, _ := s.l2.AcceptPush(line)

@@ -113,7 +113,7 @@ func (s *System) Fire(kind sim.Kind, ev sim.Event) {
 	case evPushReply:
 		pm := ev.P.(*l2Miss)
 		if !pm.completed {
-			s.completeL2(pm, cpu.LevelMem, true)
+			s.completeL2(pm, cpu.LevelMem)
 		}
 		s.pumpMemory()
 	case evPushArrive:

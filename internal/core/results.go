@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"ulmt/internal/cache"
 	"ulmt/internal/dram"
 	"ulmt/internal/fault"
@@ -92,6 +94,29 @@ type Results struct {
 	// issue steps without events, say) legitimately moves it, so it is
 	// excluded from every golden digest and equivalence comparison.
 	EventsFired uint64
+}
+
+// Check reports the first violated machine invariant a finished run's
+// Results must hold, or nil: a positive run length, an execution-time
+// breakdown with no negative part that tiles the run exactly, and
+// no more pushed-line outcomes (hits, replacements, redundant drops)
+// than lines pushed into the L2. Every matrix run is checked before
+// it is used or cached, and every run-cache entry before it is
+// served.
+func (r Results) Check() error {
+	e, o := r.Exec, r.Outcomes
+	switch {
+	case r.Cycles <= 0:
+		return fmt.Errorf("core: run length %d cycles is not positive", r.Cycles)
+	case e.Busy < 0 || e.UpToL2 < 0 || e.BeyondL2 < 0:
+		return fmt.Errorf("core: negative execution-time breakdown %+v", e)
+	case e.Total() != r.Cycles:
+		return fmt.Errorf("core: execution-time breakdown totals %d cycles, run took %d", e.Total(), r.Cycles)
+	case o.Hits+o.Replaced+o.Redundant > r.PushesToL2:
+		return fmt.Errorf("core: %d hit, %d replaced and %d redundant pushed lines exceed the %d pushed",
+			o.Hits, o.Replaced, o.Redundant, r.PushesToL2)
+	}
+	return nil
 }
 
 // Speedup returns base.Cycles / r.Cycles, the paper's speedup metric

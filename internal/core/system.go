@@ -566,9 +566,8 @@ func (s *System) drainL1Writebacks() {
 }
 
 // completeL2 fills the L2 and fans completion out to every merged L1
-// miss. fromPush marks completions delivered by a ULMT push (whose
-// MSHR was stolen rather than freed).
-func (s *System) completeL2(pm *l2Miss, lvl cpu.Level, fromPush bool) {
+// miss.
+func (s *System) completeL2(pm *l2Miss, lvl cpu.Level) {
 	if pm.completed {
 		return
 	}
@@ -589,7 +588,6 @@ func (s *System) completeL2(pm *l2Miss, lvl cpu.Level, fromPush bool) {
 		s.completeL1(w.l1Line, lvl)
 	}
 	pm.waiters = nil
-	_ = fromPush
 }
 
 // drainL2Victims forwards dirty L2 victims to the memory write path.

@@ -51,19 +51,21 @@ import (
 // byte-identical reports (TestCacheRunRoundTrip).
 //
 // Entries are written atomically and durably (tmp, fsync, rename) and
-// are self-describing (the envelope records the full key material); a
-// corrupt, truncated or mismatched entry counts as stale and is
+// are self-describing (the envelope records the full key material and
+// a SHA-256 of its payload). A corrupt, truncated or mismatched entry,
+// one whose payload no longer matches its checksum, and a run entry
+// whose Results fail core.Results.Check all count as stale and are
 // recomputed and overwritten. A run without a cache directory is the
-// oracle: it simulates everything and must render byte-identical
-// reports (TestCacheWarmEquivalence).
+// oracle: it simulates everything, checks every run the same way, and
+// must render byte-identical reports (TestCacheWarmEquivalence).
 
 // CacheBehaviorVersion is the code-behavior generation of cache
 // entries. Bump it in the same commit as any change that legitimately
 // alters report_sha256 (a simulated-behavior change, a Results field
 // change, a derived-artifact format change): every existing cache
-// entry then reads as stale and is recomputed, so a stale cache can
-// slow an invocation down but can never alter its bytes.
-const CacheBehaviorVersion = 1
+// entry then reads as stale and is recomputed. Version 2 added the
+// envelope's payload checksum.
+const CacheBehaviorVersion = 2
 
 // cacheVersion is the behavior version actually consulted; it exists
 // as a variable only so the stale-cache test can simulate a version
@@ -77,9 +79,15 @@ var cacheVersion uint64 = CacheBehaviorVersion
 // (TestCacheAddressPinned); the literals "kernel=0" and
 // "fastpath=true" are part of that text.
 func (o Options) fingerprint() [32]byte {
+	// A fault.Plan is a pure function of its Config, seed included, so
+	// the Config identifies the plan; no plan leaves the text empty.
+	faults := ""
+	if o.Faults != nil {
+		faults = fmt.Sprintf("%+v", o.Faults.Config())
+	}
 	return sha256.Sum256([]byte(fmt.Sprintf(
 		"ulmt-run/v1|scale=%s|seed=%d|kernel=0|fastpath=true|faults=%s",
-		o.Scale.String(), o.Seed, o.FaultTag)))
+		o.Scale.String(), o.Seed, faults)))
 }
 
 // Artifact kinds stored beside the "run" Results entries.
@@ -184,7 +192,8 @@ func OpenCache(dir string, opt Options) (*Cache, error) {
 
 // Hits, Misses and Stale report the lookup counters: entries served,
 // entries absent, and entries found but unusable (older behavior
-// version, corrupt file, or foreign key material). A stale lookup
+// version, corrupt file, foreign key material, payload checksum
+// mismatch, or Results that fail their Check). A stale lookup
 // also counts as a miss, so hits+misses always equals total lookups.
 func (c *Cache) Hits() uint64   { return c.hits.Load() }
 func (c *Cache) Misses() uint64 { return c.misses.Load() }
@@ -195,14 +204,21 @@ func (c *Cache) Stale() uint64  { return c.stale.Load() }
 // can verify an entry is exactly what it asked for; Payload is the
 // kind-specific JSON (core.Results for runs, the artifact structs
 // otherwise), which round-trips exactly (integers, shortest-form
-// float64s, and the Histogram's own codec).
+// float64s, and the Histogram's own codec); Sum is the hex SHA-256 of
+// the Payload bytes.
 type cacheEnvelope struct {
 	Key     string          `json:"key"`
 	Version uint64          `json:"version"`
 	Kind    string          `json:"kind"`
 	App     string          `json:"app"`
 	Label   string          `json:"label,omitempty"`
+	Sum     string          `json:"sum"`
 	Payload json.RawMessage `json:"payload"`
+}
+
+// payloadSum is the checksum an envelope records for its payload.
+func payloadSum(payload []byte) string {
+	return fmt.Sprintf("%x", sha256.Sum256(payload))
 }
 
 // entryAddr addresses an entry: it hashes the ref and the
@@ -230,29 +246,36 @@ func (c *Cache) fullKey(ref cacheRef) string {
 }
 
 // load fetches an entry's payload. ok reports a usable hit; anything
-// else — absent, unreadable, corrupt, stale version, foreign key —
-// is a miss (with the stale counter distinguishing "found but
-// unusable" from "absent").
+// else — absent, unreadable, corrupt, stale version, foreign key,
+// checksum mismatch, failed Check — is a miss (with the stale counter
+// distinguishing "found but unusable" from "absent").
 func (c *Cache) load(ref cacheRef, into any) (ok bool) {
 	b, err := os.ReadFile(c.path(ref))
 	if errors.Is(err, os.ErrNotExist) {
 		c.misses.Add(1)
 		return false
 	}
-	var env cacheEnvelope
-	if err != nil || json.Unmarshal(b, &env) != nil ||
-		env.Version != cacheVersion || env.Key != c.fullKey(ref) {
-		c.stale.Add(1)
-		c.misses.Add(1)
-		return false
-	}
-	if err := json.Unmarshal(env.Payload, into); err != nil {
+	if err != nil || !c.decode(ref, b, into) {
 		c.stale.Add(1)
 		c.misses.Add(1)
 		return false
 	}
 	c.hits.Add(1)
 	return true
+}
+
+// decode reports whether b is a usable entry for ref, unpacking its
+// payload into into. A payload that checks itself (core.Results) must
+// also pass its Check, the same one every simulated run passes.
+func (c *Cache) decode(ref cacheRef, b []byte, into any) bool {
+	var env cacheEnvelope
+	if json.Unmarshal(b, &env) != nil || env.Version != cacheVersion ||
+		env.Key != c.fullKey(ref) || env.Sum != payloadSum(env.Payload) ||
+		json.Unmarshal(env.Payload, into) != nil {
+		return false
+	}
+	v, ok := into.(interface{ Check() error })
+	return !ok || v.Check() == nil
 }
 
 // save persists an entry atomically and durably (tmp, fsync, rename:
@@ -271,6 +294,7 @@ func (c *Cache) save(ref cacheRef, payload any) error {
 		Kind:    ref.Kind,
 		App:     ref.App,
 		Label:   ref.Label,
+		Sum:     payloadSum(raw),
 		Payload: raw,
 	}
 	b, err := json.Marshal(env)

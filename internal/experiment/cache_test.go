@@ -2,11 +2,16 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"ulmt/internal/core"
+	"ulmt/internal/fault"
+	"ulmt/internal/stats"
 	"ulmt/internal/workload"
 )
 
@@ -188,7 +193,7 @@ func TestCacheStaleVersion(t *testing.T) {
 // bump, which is when this pin is re-recorded.
 func TestCacheAddressPinned(t *testing.T) {
 	const (
-		pinnedVersion = 1
+		pinnedVersion = 2
 		want          = "1f936d44a2584b9da5fc301215db200b2924862bccfc6b2a5d6a99bc9ecff2b1"
 	)
 	got := entryAddr(runRef(RunKey{App: "Mcf", Label: CfgRepl}),
@@ -233,6 +238,204 @@ func TestCacheCorruptEntry(t *testing.T) {
 	if r2.RunsComputed() != 1 {
 		t.Errorf("corrupt entry not recomputed: %d runs", r2.RunsComputed())
 	}
+}
+
+// TestCacheFaultSeedsNeverShare requires every fault plan to address
+// its own entries: plans that differ only in their seed, plans that
+// differ in their rates, and no plan at all never share a
+// fingerprint, and a cache filled under one fault seed serves nothing
+// to another.
+func TestCacheFaultSeedsNeverShare(t *testing.T) {
+	seen := map[[32]byte]string{Options{Scale: workload.ScaleTiny, Seed: 1}.fingerprint(): "no plan"}
+	for _, spec := range []string{"light", "heavy", "drop-obs=500"} {
+		for _, seed := range []uint64{1, 2} {
+			plan, err := fault.ParseSpec(spec, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s at fault seed %d", spec, seed)
+			fp := Options{Scale: workload.ScaleTiny, Seed: 1, Faults: plan}.fingerprint()
+			if other, ok := seen[fp]; ok {
+				t.Errorf("%s shares its cache fingerprint with %s", name, other)
+			}
+			seen[fp] = name
+		}
+	}
+
+	optAt := func(faultSeed uint64) Options {
+		opt := resumeOptions()
+		opt.Faults = fault.Light(faultSeed)
+		return opt
+	}
+	k := RunKey{App: "Mcf", Label: CfgRepl}
+	dir := t.TempDir()
+	cacheDirRunner(t, optAt(1), dir).Run(k.App, k.Label)
+	r := cacheDirRunner(t, optAt(2), dir)
+	got := r.Run(k.App, k.Label)
+	if r.cache.Hits() != 0 || r.RunsComputed() != 1 {
+		t.Errorf("fault seed 2 over a seed-1 cache: hits %d, computed %d; want 0 and 1", r.cache.Hits(), r.RunsComputed())
+	}
+	if want := NewRunner(optAt(2)).Run(k.App, k.Label); !reflect.DeepEqual(got, want) {
+		t.Error("fault seed 2 over a seed-1 cache diverges from an uncached seed-2 run")
+	}
+}
+
+// rewriteRunEntry decodes k's cache entry, lets edit change its
+// Results, and writes the entry back. With resum the envelope's
+// checksum is recomputed over the edited payload, so only
+// core.Results.Check can tell the entry from a genuine one; without
+// it the old checksum stays.
+func rewriteRunEntry(t *testing.T, c *Cache, k RunKey, resum bool, edit func(*core.Results)) {
+	t.Helper()
+	path := c.path(runRef(k))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env cacheEnvelope
+	var res core.Results
+	if err := json.Unmarshal(b, &env); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(env.Payload, &res); err != nil {
+		t.Fatal(err)
+	}
+	edit(&res)
+	if env.Payload, err = json.Marshal(res); err != nil {
+		t.Fatal(err)
+	}
+	if resum {
+		env.Sum = payloadSum(env.Payload)
+	}
+	if b, err = json.Marshal(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheTamperedEntry edits a run entry's payload into valid JSON
+// with a wrong meaning. An edit that keeps every machine invariant but
+// leaves the old checksum is caught by the checksum; halving Cycles
+// under a recomputed checksum is caught by core.Results.Check alone.
+// Either way the entry reads stale once, the run is recomputed to the
+// original result, and the overwritten entry replays.
+func TestCacheTamperedEntry(t *testing.T) {
+	opt := resumeOptions()
+	k := RunKey{App: "Mcf", Label: CfgRepl}
+	for _, tc := range []struct {
+		name  string
+		resum bool
+		edit  func(*core.Results)
+	}{
+		{"Checksum", false, func(r *core.Results) { r.DemandMissesToMemory++ }},
+		{"Check", true, func(r *core.Results) { r.Cycles /= 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r1 := cacheDirRunner(t, opt, dir)
+			want := r1.Run(k.App, k.Label)
+			rewriteRunEntry(t, r1.cache, k, tc.resum, tc.edit)
+
+			r2 := cacheDirRunner(t, opt, dir)
+			if got := r2.Run(k.App, k.Label); !reflect.DeepEqual(got, want) {
+				t.Errorf("tampered entry served:\n got %+v\nwant %+v", got, want)
+			}
+			if r2.cache.Stale() != 1 || r2.RunsComputed() != 1 {
+				t.Errorf("tampered entry: stale %d, computed %d; want 1 and 1", r2.cache.Stale(), r2.RunsComputed())
+			}
+			r3 := cacheDirRunner(t, opt, dir)
+			if got := r3.Run(k.App, k.Label); !reflect.DeepEqual(got, want) {
+				t.Error("replayed run diverges from the original")
+			}
+			if r3.cache.Stale() != 0 || r3.RunsComputed() != 0 {
+				t.Errorf("tampered entry not overwritten: stale %d, computed %d; want 0 and 0",
+					r3.cache.Stale(), r3.RunsComputed())
+			}
+		})
+	}
+}
+
+// FuzzCacheEntry writes arbitrary bytes at a run entry's path. load
+// must never panic, and it may report a hit only for an envelope for
+// that key at the current version whose payload matches its checksum
+// and decodes to the served Results, which pass Check. With wrap set
+// the bytes become the payload of an otherwise valid envelope with a
+// correct checksum, so the fuzzer also reaches the payload decoder
+// and Check, which the checksum would otherwise shield.
+func FuzzCacheEntry(f *testing.F) {
+	opt := Options{Scale: workload.ScaleTiny, Seed: 1}
+	k := RunKey{App: "Mcf", Label: CfgRepl}
+	valid := core.Results{
+		App: k.App, Label: k.Label, Cycles: 100,
+		Exec:       stats.ExecBreakdown{Busy: 60, UpToL2: 30, BeyondL2: 10},
+		PushesToL2: 2, Outcomes: stats.PrefetchOutcomes{Hits: 1, Redundant: 1},
+	}
+	seed, err := OpenCache(f.TempDir(), opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed.SaveRun(k, valid)
+	if _, ok := seed.LoadRun(k); !ok {
+		f.Fatal("a valid entry is not served")
+	}
+	entry, err := os.ReadFile(seed.path(runRef(k)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := json.Marshal(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(entry, false)
+	f.Add(entry[:len(entry)/2], false)
+	f.Add(bytes.Replace(entry, []byte(`"Cycles":100`), []byte(`"Cycles":50`), 1), false)
+	f.Add([]byte("{not json"), false)
+	f.Add(payload, true)
+	f.Add([]byte(`{"Cycles":5}`), true)
+	f.Add([]byte(`{"MissDistance":{"Edges":[1],"Counts":[]}}`), true)
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, b []byte, wrap bool) {
+		c, err := OpenCache(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wrap {
+			b = []byte(fmt.Sprintf(`{"key":%q,"version":%d,"kind":%q,"app":%q,"label":%q,"sum":%q,"payload":%s}`,
+				c.fullKey(runRef(k)), cacheVersion, cacheKindRun, k.App, k.Label, payloadSum(b), b))
+		}
+		if err := os.WriteFile(c.path(runRef(k)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := c.LoadRun(k)
+		if !ok {
+			if c.Stale() != 1 || c.Hits() != 0 {
+				t.Fatalf("rejected entry counted stale %d, hits %d; want 1 and 0", c.Stale(), c.Hits())
+			}
+			return
+		}
+		var env cacheEnvelope
+		if err := json.Unmarshal(b, &env); err != nil {
+			t.Fatalf("hit on bytes that are not an envelope: %v", err)
+		}
+		if env.Key != c.fullKey(runRef(k)) || env.Version != cacheVersion {
+			t.Fatalf("hit on an entry for another key or version: %q v%d", env.Key, env.Version)
+		}
+		if env.Sum != payloadSum(env.Payload) {
+			t.Fatal("hit on a payload that does not match its checksum")
+		}
+		var want core.Results
+		if err := json.Unmarshal(env.Payload, &want); err != nil {
+			t.Fatalf("hit on a payload that is not Results: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("served Results differ from the payload:\n got %+v\nwant %+v", got, want)
+		}
+		if err := got.Check(); err != nil {
+			t.Fatalf("served Results fail Check: %v", err)
+		}
+	})
 }
 
 // FuzzCacheKey proves the canonical key encoding injective and

@@ -54,16 +54,13 @@ type Options struct {
 	// table or figure can be regenerated under degraded conditions.
 	Faults *fault.Plan
 
-	// RunTimeout, if positive, bounds each simulation attempt's wall
-	// clock; a run past it is aborted and retried.
+	// RunTimeout, if positive, bounds each simulation's wall clock; a
+	// run past it is aborted and reported failed.
 	RunTimeout time.Duration
-	// MaxRetries is how many times a panicked or timed-out run is
-	// re-attempted before being reported failed (0 = no retries).
+	// MaxRetries is ignored: a run that panics or trips the watchdog
+	// fails once, because a deterministic simulation would fail again.
+	// It is kept only for the benchmark harness, which still sets it.
 	MaxRetries int
-	// FaultTag is the textual fault spec behind Faults ("" when none);
-	// it exists so the cache-key fingerprint can include the fault
-	// identity without hashing Plan internals.
-	FaultTag string
 	// Jobs is the parallel worker count for ExecuteAll (the -j flag).
 	// Validate rejects values below 1: a zero here almost always
 	// means a caller forgot to set it, and silently running serial
@@ -119,9 +116,6 @@ func (o Options) Validate() error {
 	}
 	if o.Jobs < 1 {
 		return fmt.Errorf("experiment: -j must be >= 1, got %d", o.Jobs)
-	}
-	if o.MaxRetries < 0 {
-		return fmt.Errorf("experiment: -retries must be >= 0, got %d", o.MaxRetries)
 	}
 	if o.RunTimeout < 0 {
 		return fmt.Errorf("experiment: -run-timeout must be >= 0, got %s", o.RunTimeout)
@@ -194,11 +188,10 @@ type Runner struct {
 	// computed counts simulations actually executed (cache misses of
 	// runs), so tests can prove a pre-planned run set covers an
 	// entire report; eventsFired totals their engine event counts, a
-	// host-side measure of event churn. retried and failed count the
-	// self-healing runner's interventions.
+	// host-side measure of event churn. failed counts runs that ended
+	// in an error other than an interrupt.
 	computed    atomic.Uint64
 	eventsFired atomic.Uint64
-	retried     atomic.Uint64
 	failed      atomic.Uint64
 
 	// aliased counts identity-alias keys served from their app's
@@ -206,7 +199,7 @@ type Runner struct {
 	aliased atomic.Uint64
 
 	// testHook, when set (tests only), runs at the top of every
-	// attempt's panic-isolation scope, so tests can inject failures.
+	// simulation's panic-isolation scope, so tests can inject failures.
 	testHook func(RunKey)
 }
 
@@ -405,8 +398,8 @@ func (r *Runner) BuildConfig(app, label string) core.Config {
 // configuration. Concurrent callers of the same (app, label) pair —
 // or of an identity alias and its app's Repl run (see aliasOf) —
 // share one simulation. Renderers call Run only for
-// keys ExecuteAll already completed; a run that failed its retry
-// budget or was interrupted panics here with the stored cause, which
+// keys ExecuteAll already completed; a run that failed or was
+// interrupted panics here with the stored cause, which
 // cmd/ulmtsim never reaches because it skips rendering when
 // ExecuteAll reports an error.
 func (r *Runner) Run(app, label string) core.Results {

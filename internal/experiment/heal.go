@@ -9,23 +9,23 @@ import (
 	"ulmt/internal/prefetch"
 )
 
-// Self-healing execution: every simulation runs under a
-// core.RunControl with panic isolation, bounded retry and a
-// wall-clock watchdog, and a completed run is written durably to the
-// result cache before its worker takes the next key. An interrupt
-// aborts the in-flight runs, so a later invocation over the same
-// cache directory replays every completed run and starts only those
-// over.
+// Self-healing execution: every simulation runs once, under a
+// core.RunControl with panic isolation and a wall-clock watchdog, and
+// must pass core.Results.Check; a deterministic run that failed would
+// fail again, so none is retried. A completed run is written durably
+// to the result cache before its worker takes the next key, so a
+// later invocation over the same cache directory replays every
+// completed run and starts only the rest over.
 
 // errInterrupted marks a run stopped by Interrupt (SIGINT/SIGTERM via
-// ExecuteAll's context). It is terminal, never retried: the point of
+// ExecuteAll's context). It is not counted as a failure: the point of
 // an interrupt is to stop.
 var errInterrupted = errors.New("experiment: run interrupted")
 
 // simOutcome is what the runs memo holds: either results or the error
-// that exhausted the run's retry budget. Memoizing the error too
-// keeps single-flight semantics — a failed run is not silently
-// re-attempted by every renderer that asks for it.
+// that ended the run. Memoizing the error too keeps single-flight
+// semantics — a failed run is not silently re-attempted by every
+// renderer that asks for it.
 type simOutcome struct {
 	res core.Results
 	err error
@@ -46,11 +46,10 @@ func (r *Runner) Interrupt() {
 // Interrupted reports whether Interrupt has been called.
 func (r *Runner) Interrupted() bool { return r.interrupted.Load() }
 
-// Retried reports how many run attempts were retried after a panic
-// or watchdog timeout; Failed how many runs exhausted their retry
-// budget. Both appear in the cmd/ulmtsim summary footer.
-func (r *Runner) Retried() uint64 { return r.retried.Load() }
-func (r *Runner) Failed() uint64  { return r.failed.Load() }
+// Failed reports how many runs panicked, tripped the watchdog or
+// failed core.Results.Check; it appears in the cmd/ulmtsim summary
+// footer.
+func (r *Runner) Failed() uint64 { return r.failed.Load() }
 
 func (r *Runner) register(k RunKey, ctl *core.RunControl) {
 	r.mu.Lock()
@@ -96,48 +95,35 @@ func (r *Runner) outcome(k RunKey) simOutcome {
 	})
 }
 
-// compute runs one simulation with retry and persistence around it.
-// It runs at most once per key (single-flight memo) and its attempts
-// are strictly sequential.
+// compute serves one key from the persistent cache or simulates it
+// once. It runs at most once per key (single-flight memo).
 func (r *Runner) compute(k RunKey) simOutcome {
 	// The persistent cache is consulted first: a hit replays the exact
 	// Results a previous invocation computed (same behavior version,
-	// same Options fingerprint), so no simulation is touched.
+	// same Options fingerprint, intact checksum, passing Check), so no
+	// simulation is touched.
 	if r.cache != nil {
 		if res, ok := r.cache.LoadRun(k); ok {
 			return simOutcome{res: res}
 		}
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			r.retried.Add(1)
-			// Linear backoff: transient host pressure (the usual cause
-			// of watchdog trips) eases; a deterministic bug fails fast.
-			time.Sleep(time.Duration(attempt) * 50 * time.Millisecond)
+	res, err := r.attempt(k)
+	if err != nil {
+		if !errors.Is(err, errInterrupted) {
+			r.failed.Add(1)
 		}
-		res, err := r.attempt(k)
-		if err == nil {
-			if r.cache != nil {
-				r.cache.SaveRun(k, res)
-			}
-			return simOutcome{res: res}
-		}
-		if errors.Is(err, errInterrupted) {
-			return simOutcome{err: err}
-		}
-		lastErr = err
-		if attempt >= r.opt.MaxRetries {
-			break
-		}
+		return simOutcome{err: err}
 	}
-	r.failed.Add(1)
-	return simOutcome{err: lastErr}
+	if r.cache != nil {
+		r.cache.SaveRun(k, res)
+	}
+	return simOutcome{res: res}
 }
 
-// attempt executes one isolated try of the simulation: panics become
-// errors, the watchdog aborts it past Options.RunTimeout, and an
-// interrupt aborts it.
+// attempt executes the run's one isolated try: panics become errors,
+// the watchdog aborts it past Options.RunTimeout, an interrupt aborts
+// it, and Results that fail core.Results.Check are an error. Every
+// error names the run.
 func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -175,6 +161,9 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 		res.Label = k.Label
 		r.computed.Add(1)
 		r.eventsFired.Add(res.EventsFired)
+		if err := res.Check(); err != nil {
+			return core.Results{}, fmt.Errorf("run %s/%s: %w", k.App, k.Label, err)
+		}
 		return res, nil
 	}
 	if r.interrupted.Load() {

@@ -269,12 +269,12 @@ func TestInterruptedMatrixReplays(t *testing.T) {
 	}
 }
 
-// TestResumeFromMidFlightCheckpoint interrupts a run in flight. The
+// TestRerunAfterMidFlightInterrupt interrupts a run in flight. The
 // cache takes only completed runs, so the aborted run must leave no
-// entry; the next runner over the directory resumes it from its
+// entry; the next runner over the directory reruns it from its
 // start, matches the uninterrupted run and caches it, and a third
 // runner replays it without simulating.
-func TestResumeFromMidFlightCheckpoint(t *testing.T) {
+func TestRerunAfterMidFlightInterrupt(t *testing.T) {
 	opt := resumeOptions()
 	k := RunKey{App: "Mcf", Label: CfgRepl}
 	want := NewRunner(opt).Run(k.App, k.Label)
@@ -283,7 +283,7 @@ func TestResumeFromMidFlightCheckpoint(t *testing.T) {
 	r1 := cacheDirRunner(t, opt, dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// The hook runs just before the attempt registers its control;
+	// The hook runs just before the run registers its control;
 	// cancel once it has, so the abort reaches a starting or running
 	// simulation.
 	stop := make(chan struct{})
@@ -317,27 +317,27 @@ func TestResumeFromMidFlightCheckpoint(t *testing.T) {
 
 	r2 := cacheDirRunner(t, opt, dir)
 	if got := r2.Run(k.App, k.Label); !reflect.DeepEqual(got, want) {
-		t.Errorf("resumed run diverges from the uninterrupted run:\n got %+v\nwant %+v", got, want)
+		t.Errorf("rerun diverges from the uninterrupted run:\n got %+v\nwant %+v", got, want)
 	}
 	if n := r2.RunsComputed(); n != 1 {
-		t.Errorf("resume computed %d runs, want 1", n)
+		t.Errorf("rerun computed %d runs, want 1", n)
 	}
 	r3 := cacheDirRunner(t, opt, dir)
 	if got := r3.Run(k.App, k.Label); !reflect.DeepEqual(got, want) {
 		t.Error("replayed run diverges from the uninterrupted run")
 	}
 	if r3.RunsComputed() != 0 || r3.cache.Hits() == 0 {
-		t.Errorf("finished resumed run not a cache hit: computed %d, hits %d", r3.RunsComputed(), r3.cache.Hits())
+		t.Errorf("finished rerun not a cache hit: computed %d, hits %d", r3.RunsComputed(), r3.cache.Hits())
 	}
 }
 
-// TestResumeDiscardsCorruptCheckpoint resumes over an entry that
-// cannot be trusted: the run's entry cut to half its length, with the
-// temp file of a writer killed before its rename beside it. The next
-// runner must count the entry stale, recompute the run to the
-// original result and overwrite the entry in place, so a third runner
-// replays it without simulating.
-func TestResumeDiscardsCorruptCheckpoint(t *testing.T) {
+// TestRerunOverwritesTornEntry reruns over an entry that cannot be
+// trusted: the run's entry cut to half its length, with the temp file
+// of a writer killed before its rename beside it. The next runner
+// must count the entry stale, recompute the run to the original
+// result and overwrite the entry in place, so a third runner replays
+// it without simulating.
+func TestRerunOverwritesTornEntry(t *testing.T) {
 	opt := resumeOptions()
 	k := RunKey{App: "Mcf", Label: CfgRepl}
 	dir := t.TempDir()
@@ -372,50 +372,53 @@ func TestResumeDiscardsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-// TestSelfHealRetry injects a panic into a run's first attempt and
-// requires the runner to retry and succeed.
-func TestSelfHealRetry(t *testing.T) {
+// checkPanicFailsOnce executes Mcf/NoPref under a hook that panics
+// with msg on the calls panicAt selects, and requires the run to be
+// attempted once and reported at once: the hook fires once, Failed is
+// 1, ExecuteAll returns sooner than the 50 ms the smallest retry
+// back-off used to sleep, and its error names the key and the panic.
+// MaxRetries is set to show it is ignored.
+func checkPanicFailsOnce(t *testing.T, panicAt func(call int) bool, msg string) {
+	t.Helper()
 	opt := resumeOptions()
 	opt.MaxRetries = 2
-	want := NewRunner(resumeOptions()).Run("Mcf", CfgNoPref)
-
 	r := NewRunner(opt)
-	fails := 1
-	r.testHook = func(k RunKey) {
-		if k.Label == CfgNoPref && fails > 0 {
-			fails--
-			panic("injected fault")
+	calls := 0
+	r.testHook = func(RunKey) {
+		calls++
+		if panicAt(calls) {
+			panic(msg)
 		}
 	}
-	got := r.Run("Mcf", CfgNoPref)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("healed run diverges from clean run")
-	}
-	if n := r.Retried(); n != 1 {
-		t.Errorf("retried = %d, want 1", n)
-	}
-	if n := r.Failed(); n != 0 {
-		t.Errorf("failed = %d, want 0", n)
-	}
-}
-
-// TestSelfHealExhaustedRetries proves a persistently failing run is
-// reported through ExecuteAll's error, not panicked or hidden.
-func TestSelfHealExhaustedRetries(t *testing.T) {
-	opt := resumeOptions()
-	opt.MaxRetries = 1
-	r := NewRunner(opt)
-	r.testHook = func(k RunKey) { panic("always broken") }
+	start := time.Now()
 	err := r.ExecuteAll(nil, []RunKey{{App: "Mcf", Label: CfgNoPref}}, 1, nil)
-	if err == nil || !strings.Contains(err.Error(), "always broken") {
-		t.Fatalf("ExecuteAll error = %v, want the injected failure", err)
-	}
-	if n := r.Retried(); n != 1 {
-		t.Errorf("retried = %d, want 1", n)
+	elapsed := time.Since(start)
+	if calls != 1 {
+		t.Errorf("hook fired %d times, want 1", calls)
 	}
 	if n := r.Failed(); n != 1 {
 		t.Errorf("failed = %d, want 1", n)
 	}
+	if elapsed >= 50*time.Millisecond {
+		t.Errorf("failing run took %s to report, want no back-off", elapsed)
+	}
+	if err == nil || !strings.Contains(err.Error(), "Mcf/"+CfgNoPref) || !strings.Contains(err.Error(), msg) {
+		t.Errorf("ExecuteAll error = %v, want one naming Mcf/%s and %q", err, CfgNoPref, msg)
+	}
+}
+
+// TestSelfHealRetry injects a panic into a run's first attempt only.
+// A second attempt would succeed, but simulations are deterministic,
+// so the runner never makes one: the run fails once and is reported.
+func TestSelfHealRetry(t *testing.T) {
+	checkPanicFailsOnce(t, func(call int) bool { return call == 1 }, "injected fault")
+}
+
+// TestSelfHealExhaustedRetries proves a persistently failing run is
+// attempted once and reported through ExecuteAll's error, not
+// panicked, retried or hidden.
+func TestSelfHealExhaustedRetries(t *testing.T) {
+	checkPanicFailsOnce(t, func(int) bool { return true }, "always broken")
 }
 
 // TestExecuteAllInterrupt cancels the context and requires ExecuteAll
@@ -439,12 +442,11 @@ func TestExecuteAllInterrupt(t *testing.T) {
 	}
 }
 
-// TestWatchdogTimeout aborts a run past Options.RunTimeout and, with
-// no retry budget, reports it failed.
+// TestWatchdogTimeout aborts a run past Options.RunTimeout and
+// reports it failed.
 func TestWatchdogTimeout(t *testing.T) {
 	opt := resumeOptions()
 	opt.RunTimeout = time.Nanosecond
-	opt.MaxRetries = 0
 	r := NewRunner(opt)
 	err := r.ExecuteAll(nil, []RunKey{{App: "Mcf", Label: CfgNoPref}}, 1, nil)
 	if err == nil || !strings.Contains(err.Error(), "watchdog") {

@@ -279,9 +279,6 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{Jobs: 1, Shards: -1}).Validate(); err == nil {
 		t.Error("negative shard count accepted")
 	}
-	if err := (Options{Jobs: 1, MaxRetries: -5}).Validate(); err == nil {
-		t.Error("negative retry count accepted")
-	}
 	if err := (Options{Jobs: 1, RunTimeout: -3 * time.Second}).Validate(); err == nil {
 		t.Error("negative run timeout accepted")
 	}

@@ -99,9 +99,8 @@ func (r *Runner) PlanRuns(exps []string) []RunKey {
 // keys are skipped, neither fires onDone, and ExecuteAll returns the
 // context's error once everything has stopped — no run is killed
 // mid-write, and every run that completed is already in the attached
-// cache. Runs that exhaust their retry budget don't stop the matrix;
-// they are reported in the returned error after all keys have been
-// visited.
+// cache. Runs that fail don't stop the matrix; they are reported in
+// the returned error after all keys have been visited.
 //
 // Results are byte-identical to running the keys serially: every
 // simulation is an isolated System whose output is a pure function of

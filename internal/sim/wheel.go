@@ -64,18 +64,6 @@ func (w *wheel) clear(idx int) {
 	}
 }
 
-// push files ev into its bucket, or spills it when it lies beyond the
-// window. The engine guarantees ev.at >= now >= base. The pointer
-// parameter keeps the entry from being copied at every call boundary
-// on the way in; push still stores a copy, never retains ev.
-func (w *wheel) push(ev *event) {
-	if sl := w.slot(ev.at); sl != nil {
-		*sl = *ev
-		return
-	}
-	w.over.push(ev)
-}
-
 // slot reserves the next entry of at's bucket and returns it for
 // in-place construction — the engine writes event fields straight
 // into the bucket, skipping the stack-temporary copy a push-by-value
