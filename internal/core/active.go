@@ -2,7 +2,6 @@ package core
 
 import (
 	"ulmt/internal/mem"
-	"ulmt/internal/memproc"
 	"ulmt/internal/prefetch"
 	"ulmt/internal/sim"
 	"ulmt/internal/workload"
@@ -157,8 +156,3 @@ func (s *System) pumpActive() {
 	}
 	s.eng.Schedule(end, s, evActiveDone, sim.Event{})
 }
-
-// northBridgeMemProc returns the Table 3 North Bridge memory
-// processor configuration (a convenience shared by tests and the
-// experiment harness).
-func northBridgeMemProc() memproc.Config { return memproc.DefaultConfig(memproc.InNorthBridge) }

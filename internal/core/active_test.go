@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ulmt/internal/mem"
+	"ulmt/internal/memproc"
 	"ulmt/internal/prefetch"
 	"ulmt/internal/workload"
 )
@@ -122,7 +123,7 @@ func TestActiveNorthBridgeSlowerChase(t *testing.T) {
 	}
 	inDRAM := mk(DefaultConfig())
 	nbCfg := DefaultConfig()
-	nbCfg.MemProc = northBridgeMemProc()
+	nbCfg.MemProc = memproc.DefaultConfig(memproc.InNorthBridge)
 	nb := mk(nbCfg)
 	if nb >= inDRAM {
 		t.Errorf("NB active (%.3f) should trail in-DRAM active (%.3f)", nb, inDRAM)

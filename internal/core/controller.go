@@ -4,7 +4,10 @@ import (
 	"ulmt/internal/bus"
 	"ulmt/internal/cache"
 	"ulmt/internal/cpu"
+	"ulmt/internal/fault"
 	"ulmt/internal/mem"
+	"ulmt/internal/memproc"
+	"ulmt/internal/prefetch"
 	"ulmt/internal/queue"
 	"ulmt/internal/sim"
 )
@@ -305,11 +308,92 @@ func (s *System) issueWriteback(line mem.Line) {
 	s.fsb.TransferLineTo(bus.Writeback, s, evWBDone, sim.Event{I0: uint64(line)})
 }
 
-// pumpULMT runs the memory thread's infinite loop (paper Fig 2): pop
-// an observed miss from queue 2, run the prefetching step, deposit
-// the generated addresses, run the learning step, repeat.
+// memThread is the paper's Fig 2 memory thread: the correlation
+// algorithm, the order of its two steps, and the emit buffer of the
+// session in flight. A System's private ULMT owns one, and so does
+// the shard set, whose one shared thread serves every core.
+type memThread struct {
+	alg        prefetch.Algorithm
+	learnFirst bool
+
+	// emits buffers the current session's generated lines; collect is
+	// the once-allocated callback handed to the algorithm, which drops
+	// the observed line obs itself. Reuse is safe because a session's
+	// lines leave the buffer before the next session of the thread
+	// begins (see pumpULMT and shardSet.process).
+	emits   []mem.Line
+	obs     mem.Line
+	collect func(mem.Line)
+
+	// faults, when non-nil, supplies the session-stall stream, which
+	// the thread's sessions consume in order; inj is where the stalls
+	// are charged.
+	faults   *fault.Plan
+	sessions uint64
+	inj      *fault.Injected
+}
+
+// newMemThread builds a thread running alg under cfg's step order and
+// fault plan, charging its stalls to inj.
+func newMemThread(alg prefetch.Algorithm, cfg Config, inj *fault.Injected) *memThread {
+	t := &memThread{alg: alg, learnFirst: cfg.LearnFirst, inj: inj}
+	if cfg.Faults.Enabled() {
+		t.faults = cfg.Faults
+	}
+	t.collect = func(l mem.Line) {
+		if l != t.obs {
+			t.emits = append(t.emits, l)
+		}
+	}
+	return t
+}
+
+// session runs one Fig 2 iteration for an observed miss line on the
+// memory processor mp, starting at begin: the prefetching step, whose
+// generated lines land in t.emits, and the learning step. It returns
+// when the generated lines are due at the Filter (respAt) and when
+// the thread can take its next observation (occAt).
+func (t *memThread) session(mp *memproc.MemProc, line mem.Line, begin sim.Cycle) (respAt, occAt sim.Cycle) {
+	ses := mp.Begin(begin)
+	t.obs = line
+	t.emits = t.emits[:0]
+	if t.learnFirst {
+		// Ablation: naive ordering. Response spans both steps.
+		t.alg.Learn(line, ses)
+		t.alg.Prefetch(line, ses, t.collect)
+		ses.MarkResponse()
+	} else {
+		t.alg.Prefetch(line, ses, t.collect)
+		ses.MarkResponse()
+		t.alg.Learn(line, ses)
+	}
+	respAt = begin + ses.Response()
+	occAt = begin + ses.Elapsed()
+	mp.Finish(ses)
+	if t.faults != nil {
+		// A preemption window after this session: the thread is
+		// descheduled, so both the prefetch deposit and the next
+		// observation slide by the stall.
+		n := t.sessions
+		t.sessions++
+		if st := t.faults.SessionStall(n); st > 0 {
+			t.inj.Stalls++
+			t.inj.StallCycles += st
+			respAt += st
+			occAt += st
+		}
+	}
+	return respAt, occAt
+}
+
+// pumpULMT runs the private memory thread's infinite loop (paper Fig
+// 2): pop an observed miss from queue 2, run a session, deposit the
+// generated addresses when its response time has passed, repeat when
+// its occupancy ends. The deposit event always fires before the next
+// session starts (it never schedules later than evUlmtDone and wins
+// the same-cycle tie), so the thread's one emit buffer suffices.
 func (s *System) pumpULMT() {
-	if s.ulmtBusy || s.mp == nil || s.ulmt == nil {
+	if s.ulmtBusy || s.mp == nil || s.ulmt.alg == nil {
 		return
 	}
 	e, ok := s.q2.Pop()
@@ -317,55 +401,28 @@ func (s *System) pumpULMT() {
 		return
 	}
 	s.ulmtBusy = true
-	now := s.eng.Now()
-	ses := s.mp.Begin(now)
-	// The emit buffer and collect callback live on the System: the
-	// deposit event always fires before the next session starts (it
-	// never schedules later than evUlmtDone and wins the same-cycle
-	// tie), so one buffer per thread suffices and a session allocates
-	// nothing.
-	s.ulmtObs = e.Line
-	s.ulmtEmits = s.ulmtEmits[:0]
-	if s.cfg.LearnFirst {
-		// Ablation: naive ordering. Response spans both steps.
-		s.ulmt.Learn(e.Line, ses)
-		s.ulmt.Prefetch(e.Line, ses, s.collectULMT)
-		ses.MarkResponse()
-	} else {
-		s.ulmt.Prefetch(e.Line, ses, s.collectULMT)
-		ses.MarkResponse()
-		s.ulmt.Learn(e.Line, ses)
-	}
-
-	respAt := now + ses.Response()
-	occAt := now + ses.Elapsed()
-	s.mp.Finish(ses)
-
-	if s.faults != nil {
-		// A preemption window after this session: the thread is
-		// descheduled, so both the prefetch deposit and the next
-		// observation slide by the stall.
-		n := s.sessSeen
-		s.sessSeen++
-		if st := s.faults.SessionStall(n); st > 0 {
-			s.inj.Stalls++
-			s.inj.StallCycles += st
-			respAt += st
-			occAt += st
-		}
-	}
-
-	if len(s.ulmtEmits) > 0 {
+	respAt, occAt := s.ulmt.session(s.mp, e.Line, s.eng.Now())
+	if len(s.ulmt.emits) > 0 {
 		s.eng.Schedule(respAt, s, evUlmtDeposit, sim.Event{})
 	}
 	s.eng.Schedule(occAt, s, evUlmtDone, sim.Event{})
 }
 
 // depositPrefetches runs each generated address through the Filter
-// module, the fault layer, and the queue-3 admission path.
+// module, the fault layer, and the queue-3 admission path. On a
+// sharded machine the lines are a shard session's, delivered back to
+// the originating core's controller.
 func (s *System) depositPrefetches(lines []mem.Line) {
 	for _, l := range lines {
 		if !s.filter.Admit(l) {
+			continue
+		}
+		if s.shards != nil && s.cfg.DropPushes {
+			// On the sharded machine the pull-design ablation drops
+			// the push before it queues (the single-core machine
+			// drops at the L2 boundary instead; the per-core queue-3
+			// and bus legs it would have exercised live in the shard
+			// set here, so this is the equivalent cut point).
 			continue
 		}
 		if s.faults != nil {
@@ -393,77 +450,32 @@ func (s *System) depositPrefetches(lines []mem.Line) {
 	s.pumpMemory()
 }
 
-// depositShardLines is the sharded counterpart of depositPrefetches:
-// a shard session's emitted lines arrive back at the originating
-// core's controller, run its Filter and fault gates, and enter the
-// owning shard's push ring tagged with this core.
-func (s *System) depositShardLines(lines []mem.Line) {
-	for _, l := range lines {
-		if !s.filter.Admit(l) {
-			continue
-		}
-		if s.cfg.DropPushes {
-			// On the sharded machine the pull-design ablation drops
-			// the push before it queues (the single-core machine
-			// drops at the L2 boundary instead; the per-core queue-3
-			// and bus legs it would have exercised live in the shard
-			// set here, so this is the equivalent cut point).
-			continue
-		}
-		if s.faults != nil {
-			n := s.pushSeen
-			s.pushSeen++
-			if s.faults.DropPush(n) {
-				s.inj.PushesDropped++
-				continue
-			}
-			if d := s.faults.PushDelay(n); d > 0 {
-				s.inj.PushesDelayed++
-				s.eng.After(d, func() {
-					s.enqueueShardPrefetch(l)
-					s.pumpMemory()
-				})
-				continue
-			}
-		}
-		s.enqueueShardPrefetch(l)
-	}
-	s.pumpMemory()
-}
-
-// enqueueShardPrefetch applies the cross-match and admission for one
-// post-Filter sharded prefetch. Unlike enqueuePrefetch it never
-// removes the matching queue-2 entry: on the sharded machine queue 2
-// is the delivery staging buffer, and removing from it would make the
-// observation stream the shards see depend on deposit timing — which
-// is shard-count-dependent — breaking the re-sharding invariant.
-func (s *System) enqueueShardPrefetch(l mem.Line) {
-	if !s.cfg.DisableCrossMatch {
-		if s.q1.ContainsLine(l) || s.q2.ContainsLine(l) {
-			s.xMatchPush++
-			return
-		}
-	}
-	s.shards.pushQ3(l, s.coreID, s)
-}
-
 // enqueuePrefetch applies the queue-3 cross-match and admission for
-// one post-Filter prefetch address.
+// one post-Filter prefetch address. A sharded machine admits into
+// the owning shard's push ring instead of the core's queue 3.
 func (s *System) enqueuePrefetch(l mem.Line) {
 	if !s.cfg.DisableCrossMatch {
 		// A prefetch matching a pending miss is redundant: a
 		// higher-priority request is already in queue 1. It is
 		// removed from queue 2 as well to save ULMT occupancy.
 		if s.q1.ContainsLine(l) || s.q2.ContainsLine(l) {
-			s.q2.RemoveLine(l)
+			if s.shards == nil {
+				// Not on a sharded machine, whose queue 2 is the
+				// delivery staging buffer: removing from it would make
+				// the observation stream the shards see depend on
+				// deposit timing, which depends on the shard count.
+				s.q2.RemoveLine(l)
+			}
 			s.xMatchPush++
 			return
 		}
 	}
-	if s.q3.ContainsLine(l) {
-		return // already queued by an earlier miss
-	}
-	if !s.q3.Push(queue.Entry{Line: l, Prefetch: true, At: s.eng.Now()}) {
+	switch {
+	case s.shards != nil:
+		s.shards.pushQ3(l, s)
+	case s.q3.ContainsLine(l):
+		// Already queued by an earlier miss.
+	case !s.q3.Push(queue.Entry{Line: l, Prefetch: true, At: s.eng.Now()}):
 		s.q3Drops++
 	}
 }

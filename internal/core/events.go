@@ -58,7 +58,7 @@ const (
 	// evRearm frees the issue port with nothing to launch.
 	evRearm
 	// evUlmtDeposit deposits the current ULMT session's emitted
-	// prefetches (buffered on System.ulmtEmits).
+	// prefetches (buffered on the private memThread).
 	evUlmtDeposit
 	// evUlmtDone ends the current ULMT session's occupancy.
 	evUlmtDone
@@ -125,7 +125,7 @@ func (s *System) Fire(kind sim.Kind, ev sim.Event) {
 		s.issueBusy = false
 		s.pumpMemory()
 	case evUlmtDeposit:
-		s.depositPrefetches(s.ulmtEmits)
+		s.depositPrefetches(s.ulmt.emits)
 	case evUlmtDone:
 		s.ulmtBusy = false
 		s.pumpULMT()

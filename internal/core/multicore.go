@@ -57,12 +57,6 @@ type MulticoreConfig struct {
 	// SharedULMT is the shared algorithm sharded by address; required
 	// exactly when Shards >= 1.
 	SharedULMT prefetch.Algorithm
-	// Batch is observations drained per delivery round (default 4).
-	Batch int
-	// DeliverLat is the staging-to-delivery latency in cycles
-	// (default 4): the cost of handing a miss observation from a
-	// core's controller queue to the shard set.
-	DeliverLat sim.Cycle
 }
 
 // MulticoreResults reports an N-core run: per-core Results plus the
@@ -183,7 +177,7 @@ func NewMultiSystem(mc MulticoreConfig) (*MultiSystem, error) {
 		ms.cores = append(ms.cores, s)
 	}
 	if mc.Shards >= 1 {
-		ss, err := newShardSet(eng, base, mc.SharedULMT, mc.Shards, mc.Batch, mc.DeliverLat)
+		ss, err := newShardSet(eng, base, mc.SharedULMT, mc.Shards)
 		if err != nil {
 			return nil, err
 		}
@@ -279,15 +273,7 @@ func (ms *MultiSystem) collect() MulticoreResults {
 	for i, s := range ms.cores {
 		r := s.results(ms.mc.Apps[i].Name)
 		res.Cores = append(res.Cores, r)
-		res.ULMT.MissesProcessed += r.ULMT.MissesProcessed
-		res.ULMT.MissesDropped += r.ULMT.MissesDropped
-		res.ULMT.ResponseBusy += r.ULMT.ResponseBusy
-		res.ULMT.ResponseMem += r.ULMT.ResponseMem
-		res.ULMT.OccupancyBusy += r.ULMT.OccupancyBusy
-		res.ULMT.OccupancyMem += r.ULMT.OccupancyMem
-		res.ULMT.Instructions += r.ULMT.Instructions
-		res.ULMT.MemAccesses += r.ULMT.MemAccesses
-		res.ULMT.CacheMisses += r.ULMT.CacheMisses
+		res.ULMT.Add(r.ULMT)
 	}
 	if ms.shards != nil {
 		res.ULMT = ms.shards.ulmtStats()

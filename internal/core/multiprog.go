@@ -170,7 +170,7 @@ func RunMulti(mc MultiConfig) (MultiResults, error) {
 // switchULMT swaps the active memory thread, dropping queued
 // observations that belong to the outgoing application.
 func (s *System) switchULMT(alg prefetch.Algorithm) {
-	s.ulmt = alg
+	s.ulmt.alg = alg
 	for {
 		if _, ok := s.q2.Pop(); !ok {
 			break

@@ -29,7 +29,7 @@ func (s *System) doRemap(vaddr mem.Addr) {
 	if oldPFN == newPFN || s.mp == nil {
 		return
 	}
-	repl, ok := s.ulmt.(*prefetch.Repl)
+	repl, ok := s.ulmt.alg.(*prefetch.Repl)
 	if !ok {
 		return
 	}

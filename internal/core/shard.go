@@ -24,8 +24,8 @@ import (
 //     as in the single-core machine — queue 2 becomes a per-core
 //     staging buffer at the controller.
 //  2. Delivery: the shard set drains each core's staging buffer in
-//     batches (Batch observations per DeliverLat-cycle round), runs
-//     the algorithm's prefetching and learning steps, and routes the
+//     batches (deliverBatch observations per deliverLat-cycle round),
+//     runs one memory-thread session per observation, and routes the
 //     session's time cost to the owning shard.
 //  3. Deposit: generated prefetch addresses land in the owning
 //     shard's push ring tagged with the originating core, so the
@@ -34,7 +34,7 @@ import (
 // The functional work — table reads, table updates, which lines get
 // emitted — runs eagerly at delivery time, in global delivery order.
 // Delivery order depends only on when observations were staged
-// (miss order and DeliverLat), never on the shard count, so WHICH
+// (miss order and deliverLat), never on the shard count, so WHICH
 // prefetches are generated is invariant under re-sharding; only where
 // their rows live and how long the session queues change. The shard
 // itself is a FIFO server for time: a session begins at
@@ -57,6 +57,15 @@ import (
 //     the queue-2 observation (the single-core path does): removal
 //     would make the delivered observation stream depend on deposit
 //     timing, which is shard-count-dependent.
+
+// Observation delivery: a kicked round fires deliverLat cycles later
+// and drains up to deliverBatch observations from the core's staging
+// buffer, the cost of handing a miss from a core's controller queue
+// to the shard set.
+const (
+	deliverBatch           = 4
+	deliverLat   sim.Cycle = 4
+)
 
 // The shard set's typed self-events.
 const (
@@ -96,14 +105,17 @@ type shardJob struct {
 // shardSet is the sharded ULMT: one sim.Actor shared by every core.
 type shardSet struct {
 	eng        *sim.Engine
-	alg        prefetch.Algorithm
-	learnFirst bool
 	cores      []*System
 	shards     []shard
-	batch      int
-	dlat       sim.Cycle
 	q3cap      int
 	issueDelay sim.Cycle
+
+	// thread is the one memory thread every shard runs: sessions run
+	// synchronously at delivery, and its emit buffer is copied into
+	// the deposit job at once. Its session stalls are one stream for
+	// the shared thread, not one per core, charged to inj.
+	thread *memThread
+	inj    fault.Injected
 
 	// pendingDeliver marks cores with a drain event scheduled, so a
 	// burst of staged misses costs one event, not one per miss.
@@ -112,13 +124,8 @@ type shardSet struct {
 	// idle test.
 	inFlight int
 
-	// seq numbers every accepted push globally; sessSeen indexes the
-	// fault plan's session-stall stream (one stream for the shared
-	// thread, not one per core).
-	seq      uint64
-	sessSeen uint64
-	faults   *fault.Plan
-	inj      fault.Injected
+	// seq numbers every accepted push globally.
+	seq uint64
 
 	// owner maps each trained table row group (keyed by rowOf, the
 	// set index when the shared algorithm exposes one — cores have
@@ -129,13 +136,6 @@ type shardSet struct {
 	owner  map[uint64]int32
 	rowOf  func(mem.Line) uint64
 	attrib []stats.ShardAttrib
-
-	// emits/obs/collect mirror System.ulmtEmits and friends: one
-	// reusable emit buffer, safe because sessions run synchronously
-	// at delivery and the buffer is copied into the job immediately.
-	emits   []mem.Line
-	obs     mem.Line
-	collect func(mem.Line)
 
 	jobPool sim.Pool[shardJob]
 
@@ -150,29 +150,20 @@ type shardSet struct {
 // newShardSet builds nsh shards over the shared algorithm. Each
 // shard's memory thread gets the Base machine's MemProc configuration
 // and a private DRAM channel with the Base DRAM geometry.
-func newShardSet(eng *sim.Engine, cfg Config, alg prefetch.Algorithm, nsh, batch int, dlat sim.Cycle) (*shardSet, error) {
+func newShardSet(eng *sim.Engine, cfg Config, alg prefetch.Algorithm, nsh int) (*shardSet, error) {
 	if alg == nil {
 		return nil, fmt.Errorf("core: sharded ULMT needs a shared algorithm")
 	}
 	if nsh < 1 {
 		return nil, fmt.Errorf("core: shard count must be >= 1, got %d", nsh)
 	}
-	if batch < 1 {
-		batch = 4
-	}
-	if dlat < 1 {
-		dlat = 4
-	}
 	ss := &shardSet{
 		eng:        eng,
-		alg:        alg,
-		learnFirst: cfg.LearnFirst,
 		shards:     make([]shard, nsh),
-		batch:      batch,
-		dlat:       dlat,
 		q3cap:      cfg.QueueDepth,
+		issueDelay: cfg.MemProc.PrefetchToDRAM,
 	}
-	ss.issueDelay = cfg.MemProc.PrefetchToDRAM
+	ss.thread = newMemThread(alg, cfg, &ss.inj)
 	if rk, ok := alg.(interface{ RowKey(mem.Line) uint64 }); ok {
 		ss.rowOf = rk.RowKey
 	} else {
@@ -188,14 +179,6 @@ func newShardSet(eng *sim.Engine, cfg Config, alg prefetch.Algorithm, nsh, batch
 			return nil, err
 		}
 		ss.shards[i] = shard{mp: mp, ram: d, q3: make([]shardPush, 0, cfg.QueueDepth)}
-	}
-	ss.collect = func(l mem.Line) {
-		if l != ss.obs {
-			ss.emits = append(ss.emits, l)
-		}
-	}
-	if cfg.Faults.Enabled() {
-		ss.faults = cfg.Faults
 	}
 	return ss, nil
 }
@@ -213,7 +196,7 @@ func (ss *shardSet) kick(core int) {
 		return
 	}
 	ss.pendingDeliver[core] = true
-	ss.eng.ScheduleAfter(ss.dlat, ss, kdDeliver, sim.Event{I0: uint64(core)})
+	ss.eng.ScheduleAfter(deliverLat, ss, kdDeliver, sim.Event{I0: uint64(core)})
 }
 
 // dropObservation counts a staging overflow against the shard that
@@ -229,7 +212,7 @@ func (ss *shardSet) Fire(kind sim.Kind, ev sim.Event) {
 		core := int(ev.I0)
 		ss.pendingDeliver[core] = false
 		s := ss.cores[core]
-		for i := 0; i < ss.batch; i++ {
+		for i := 0; i < deliverBatch; i++ {
 			e, ok := s.q2.Pop()
 			if !ok {
 				break
@@ -242,61 +225,35 @@ func (ss *shardSet) Fire(kind sim.Kind, ev sim.Event) {
 	case kdDeposit:
 		job := ev.P.(*shardJob)
 		ss.inFlight--
-		ss.cores[job.core].depositShardLines(job.lines)
+		ss.cores[job.core].depositPrefetches(job.lines)
 		ss.jobPool.Put(job)
 	}
 }
 
-// process runs one observation through the shared algorithm and books
-// the session onto its shard.
+// process runs one observation through the shared memory thread on
+// its shard, a FIFO server: the session begins when the shard is
+// free, and the shard stays busy until the session's occupancy ends.
 func (ss *shardSet) process(core int, line mem.Line) {
 	if ss.onDeliver != nil {
 		ss.onDeliver(core, line)
 	}
 	si := ss.shardOf(line)
 	sh := &ss.shards[si]
-	begin := ss.eng.Now()
-	if sh.freeAt > begin {
-		begin = sh.freeAt
-	}
-	ses := sh.mp.Begin(begin)
-	ss.obs = line
-	ss.emits = ss.emits[:0]
-	if ss.learnFirst {
-		ss.alg.Learn(line, ses)
-		ss.alg.Prefetch(line, ses, ss.collect)
-		ses.MarkResponse()
-	} else {
-		ss.alg.Prefetch(line, ses, ss.collect)
-		ses.MarkResponse()
-		ss.alg.Learn(line, ses)
-	}
-	respAt := begin + ses.Response()
-	occAt := begin + ses.Elapsed()
-	sh.mp.Finish(ses)
-	if ss.faults != nil {
-		n := ss.sessSeen
-		ss.sessSeen++
-		if st := ss.faults.SessionStall(n); st > 0 {
-			ss.inj.Stalls++
-			ss.inj.StallCycles += st
-			respAt += st
-			occAt += st
-		}
-	}
+	respAt, occAt := ss.thread.session(sh.mp, line, max(ss.eng.Now(), sh.freeAt))
 	sh.freeAt = occAt
-	ss.attribute(core, line, len(ss.emits))
+	emits := ss.thread.emits
+	ss.attribute(core, line, len(emits))
 	if ss.onEmit != nil {
-		for _, l := range ss.emits {
+		for _, l := range emits {
 			ss.onEmit(core, si, l)
 		}
 	}
-	if len(ss.emits) == 0 {
+	if len(emits) == 0 {
 		return
 	}
 	job := ss.jobPool.Get()
 	job.core = core
-	job.lines = append(job.lines[:0], ss.emits...)
+	job.lines = append(job.lines[:0], emits...)
 	ss.inFlight++
 	ss.eng.Schedule(respAt, ss, kdDeposit, sim.Event{P: job})
 }
@@ -328,14 +285,14 @@ func (ss *shardSet) attribute(core int, line mem.Line, emits int) {
 	}
 }
 
-// pushQ3 admits one post-Filter prefetch into the owning shard's push
-// ring. Duplicate (line, core) pairs are dropped (the earlier push
-// will fill that core's L2); a full ring counts a drop against the
-// originating core.
-func (ss *shardSet) pushQ3(l mem.Line, core int, origin *System) {
+// pushQ3 admits one post-Filter prefetch from the originating core
+// into the owning shard's push ring. Duplicate (line, core) pairs are
+// dropped (the earlier push will fill that core's L2); a full ring
+// counts a drop against the originating core.
+func (ss *shardSet) pushQ3(l mem.Line, origin *System) {
 	sh := &ss.shards[ss.shardOf(l)]
 	for i := range sh.q3 {
-		if sh.q3[i].line == l && sh.q3[i].core == core {
+		if sh.q3[i].line == l && sh.q3[i].core == origin.coreID {
 			return
 		}
 	}
@@ -344,7 +301,7 @@ func (ss *shardSet) pushQ3(l mem.Line, core int, origin *System) {
 		return
 	}
 	ss.seq++
-	sh.q3 = append(sh.q3, shardPush{line: l, core: core, seq: ss.seq})
+	sh.q3 = append(sh.q3, shardPush{line: l, core: origin.coreID, seq: ss.seq})
 }
 
 // popPushFor removes and returns the originating core's oldest
@@ -415,16 +372,7 @@ func (ss *shardSet) idle() bool {
 func (ss *shardSet) ulmtStats() stats.ULMTStats {
 	var t stats.ULMTStats
 	for i := range ss.shards {
-		st := ss.shards[i].mp.Stats()
-		t.MissesProcessed += st.MissesProcessed
-		t.MissesDropped += st.MissesDropped
-		t.ResponseBusy += st.ResponseBusy
-		t.ResponseMem += st.ResponseMem
-		t.OccupancyBusy += st.OccupancyBusy
-		t.OccupancyMem += st.OccupancyMem
-		t.Instructions += st.Instructions
-		t.MemAccesses += st.MemAccesses
-		t.CacheMisses += st.CacheMisses
+		t.Add(ss.shards[i].mp.Stats())
 	}
 	return t
 }

@@ -10,7 +10,6 @@ import (
 	"ulmt/internal/fault"
 	"ulmt/internal/mem"
 	"ulmt/internal/memproc"
-	"ulmt/internal/prefetch"
 	"ulmt/internal/queue"
 	"ulmt/internal/sim"
 	"ulmt/internal/stats"
@@ -34,10 +33,10 @@ type System struct {
 	q3     *queue.Queue
 	filter *queue.Filter
 
-	// ulmt is the active memory-thread algorithm; the
-	// multiprogramming scheduler switches it together with the
-	// application (§3.4).
-	ulmt prefetch.Algorithm
+	// ulmt is the private memory thread; the multiprogramming
+	// scheduler switches its algorithm together with the application
+	// (§3.4).
+	ulmt *memThread
 
 	// shards, when non-nil, replaces the private memory thread with
 	// the shared sharded ULMT of a multi-core machine (shard.go):
@@ -57,17 +56,9 @@ type System struct {
 	// event still holds its pointer.
 	l1MissPool sim.Pool[l1Miss]
 
-	// ulmtEmits and activeEmits buffer one session's emitted prefetch
-	// lines. Reuse is safe because each deposit event fires before
-	// the next session of its thread begins (the deposit never
-	// schedules later than the session-end event, and wins same-cycle
-	// FIFO when they tie). collectULMT is the once-allocated emit
-	// callback handed to the prefetch algorithm; ulmtObs is the
-	// observed line it filters out.
-	ulmtEmits   []mem.Line
+	// activeEmits buffers the active thread's session's emitted
+	// prefetch lines, reused for the reason memThread.emits is.
 	activeEmits []mem.Line
-	collectULMT func(mem.Line)
-	ulmtObs     mem.Line
 
 	// Outstanding-miss bookkeeping. pendingL1 is indexed by L1 MSHR
 	// id, not by line: an outstanding L1 miss and its MSHR are created
@@ -107,7 +98,6 @@ type System struct {
 	faults   *fault.Plan
 	obsSeen  uint64
 	pushSeen uint64
-	sessSeen uint64
 	inj      fault.Injected
 
 	// Occupancy watchdog (graceful degradation under backlog).
@@ -220,12 +210,6 @@ func newSystemOn(cfg Config, eng *sim.Engine, fsb *bus.Bus, ram *dram.DRAM, mapp
 		pendingL2: make(map[mem.Line]*l2Miss),
 		missDist:  stats.MissDistanceHistogram(),
 	}
-	s.collectULMT = func(l mem.Line) {
-		if l != s.ulmtObs {
-			s.ulmtEmits = append(s.ulmtEmits, l)
-		}
-	}
-	s.ulmt = cfg.ULMT
 	if cfg.ULMT != nil || cfg.Active != nil {
 		s.mp, err = memproc.New(cfg.MemProc, ram)
 		if err != nil {
@@ -242,6 +226,7 @@ func newSystemOn(cfg Config, eng *sim.Engine, fsb *bus.Bus, ram *dram.DRAM, mapp
 	if cfg.Faults.Enabled() {
 		s.faults = cfg.Faults
 	}
+	s.ulmt = newMemThread(cfg.ULMT, cfg, &s.inj)
 	return s, nil
 }
 

@@ -151,9 +151,6 @@ type Processor struct {
 	// BlockEvents counts stalls, for model diagnostics.
 	BlockedByReason [5]sim.Cycle
 	BlockEvents     [5]uint64
-	// Trace, when non-nil, receives every state transition (model
-	// debugging).
-	Trace func(ev string, at sim.Cycle)
 
 	// Windowed (domain) execution mode, used by the multi-core
 	// machine's conservative time windows (window.go): issue-cycle
@@ -273,9 +270,6 @@ func (p *Processor) Resume() {
 // step runs one issue cycle: up to IssueWidth ops, stopping at a
 // compute op (which advances time by its Work) or a hazard.
 func (p *Processor) step() {
-	if p.Trace != nil {
-		p.Trace("step", p.eng.Now())
-	}
 	if p.finished || p.paused || p.blocked != notBlocked {
 		return
 	}
@@ -390,9 +384,6 @@ func (p *Processor) Complete(id uint64, lvl Level) {
 }
 
 func (p *Processor) loadDone(id uint64, lvl Level) {
-	if p.Trace != nil {
-		p.Trace("loadDone", p.eng.Now())
-	}
 	p.pendingLoads--
 	if id == p.lastLoadID {
 		p.lastLoadDone = true
@@ -425,18 +416,12 @@ func (p *Processor) storeDone(lvl Level) {
 }
 
 func (p *Processor) block(r blockReason, onID uint64) {
-	if p.Trace != nil {
-		p.Trace("block", p.eng.Now())
-	}
 	p.blocked = r
 	p.blockOnID = onID
 	p.blockStart = p.eng.Now()
 }
 
 func (p *Processor) unblock(lvl Level) {
-	if p.Trace != nil {
-		p.Trace("unblock", p.eng.Now())
-	}
 	d := p.eng.Now() - p.blockStart
 	p.BlockedByReason[p.blocked] += d
 	p.BlockEvents[p.blocked]++

@@ -170,9 +170,6 @@ func (p *Processor) popRing() stretchDone {
 // next step is due, or that it latched an L1 miss and the stretch
 // must end.
 func (p *Processor) stretchStep(now sim.Cycle) (hasStep bool, stepAt sim.Cycle, missed bool) {
-	if p.Trace != nil {
-		p.Trace("step", now)
-	}
 	if p.finished || p.paused || p.blocked != notBlocked {
 		return false, 0, false
 	}
@@ -283,9 +280,6 @@ func (p *Processor) stretchComplete(id uint64, now sim.Cycle) (step bool) {
 		p.stretchMaybeFinish(now)
 		return step
 	}
-	if p.Trace != nil {
-		p.Trace("loadDone", now)
-	}
 	p.pendingLoads--
 	if id == p.lastLoadID {
 		p.lastLoadDone = true
@@ -312,9 +306,6 @@ func (p *Processor) stretchComplete(id uint64, now sim.Cycle) (step bool) {
 
 // stretchBlock mirrors block on the local clock.
 func (p *Processor) stretchBlock(r blockReason, onID uint64, now sim.Cycle) {
-	if p.Trace != nil {
-		p.Trace("block", now)
-	}
 	p.blocked = r
 	p.blockOnID = onID
 	p.blockStart = now
@@ -325,9 +316,6 @@ func (p *Processor) stretchBlock(r blockReason, onID uint64, now sim.Cycle) {
 // whether a same-cycle step should arm (it always should: Pause
 // cannot land mid-stretch, but the check keeps parity with unblock).
 func (p *Processor) stretchUnblock(now sim.Cycle) bool {
-	if p.Trace != nil {
-		p.Trace("unblock", now)
-	}
 	d := now - p.blockStart
 	p.BlockedByReason[p.blocked] += d
 	p.BlockEvents[p.blocked]++

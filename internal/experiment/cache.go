@@ -42,7 +42,10 @@ import (
 // (which needs the full functional miss trace) and the per-app Fig 5
 // prediction rows (seven predictors over that trace). With those
 // cached, a warm `-exp all` renders without generating a single op
-// stream.
+// stream. The functional miss trace is the same under every fault
+// plan, so derived artifacts are keyed by the Options fingerprint
+// without the plan: every fault plan and fault seed shares the
+// fault-free entries.
 //
 // Results round-trip exactly: every field of core.Results is either
 // an integer, a float64 (Go's JSON encoder emits the shortest
@@ -173,7 +176,9 @@ func decodeCacheKey(b []byte) (ref cacheRef, fp [32]byte, version uint64, err er
 // workers. The zero of every counter is "cache never consulted".
 type Cache struct {
 	dir string
-	fp  [32]byte
+	// fp keys run entries; derivedFP, the fingerprint of the same
+	// Options without the fault plan, keys derived artifacts.
+	fp, derivedFP [32]byte
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -187,7 +192,13 @@ func OpenCache(dir string, opt Options) (*Cache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "cache"), 0o755); err != nil {
 		return nil, fmt.Errorf("experiment: cache dir: %w", err)
 	}
-	return &Cache{dir: dir, fp: opt.fingerprint()}, nil
+	c := &Cache{dir: dir, fp: opt.fingerprint()}
+	c.derivedFP = c.fp
+	if opt.Faults != nil {
+		opt.Faults = nil
+		c.derivedFP = opt.fingerprint()
+	}
+	return c, nil
 }
 
 // Hits, Misses and Stale report the lookup counters: entries served,
@@ -237,12 +248,21 @@ func entryKey(ref cacheRef, fp [32]byte) [32]byte {
 	return sha256.Sum256(encodeCacheKey(ref, fp, cacheVersion))
 }
 
+// fpOf is the fingerprint ref is keyed by: the run fingerprint for
+// runs, the fault-free one for derived artifacts.
+func (c *Cache) fpOf(ref cacheRef) [32]byte {
+	if ref.Kind == cacheKindRun {
+		return c.fp
+	}
+	return c.derivedFP
+}
+
 func (c *Cache) path(ref cacheRef) string {
-	return filepath.Join(c.dir, "cache", entryAddr(ref, c.fp)+".json")
+	return filepath.Join(c.dir, "cache", entryAddr(ref, c.fpOf(ref))+".json")
 }
 
 func (c *Cache) fullKey(ref cacheRef) string {
-	return fmt.Sprintf("%x", entryKey(ref, c.fp))
+	return fmt.Sprintf("%x", entryKey(ref, c.fpOf(ref)))
 }
 
 // load fetches an entry's payload. ok reports a usable hit; anything
@@ -340,43 +360,20 @@ func (c *Cache) SaveRun(k RunKey, res core.Results) {
 	}
 }
 
-// sizingArtifact is the cached Table 2 derivation for one app: the
-// functional L2 miss count and the <5%-replacement row sizing. With
-// it cached, a warm run renders Table 2 without extracting the miss
-// trace at all.
-type sizingArtifact struct {
-	Misses int     `json:"misses"`
-	Rows   int     `json:"rows"`
-	Rate   float64 `json:"rate"`
-}
-
-// fig5Artifact is the cached Fig 5 row for one app: each algorithm's
-// per-level prediction accuracy. float64s round-trip exactly through
-// JSON (shortest-form encoding), so a warm render is byte-identical.
-type fig5Artifact struct {
-	Acc map[string][]float64 `json:"acc"`
-}
-
-func (c *Cache) loadSizing(app string) (sizingArtifact, bool) {
-	var s sizingArtifact
-	ok := c.load(cacheRef{Kind: cacheKindSizing, App: app}, &s)
-	return s, ok
-}
-
-func (c *Cache) saveSizing(app string, s sizingArtifact) {
-	if err := c.save(cacheRef{Kind: cacheKindSizing, App: app}, s); err != nil {
-		fmt.Fprintf(os.Stderr, "ulmtsim: caching sizing/%s: %v\n", app, err)
+// cachedArtifact serves app's derived artifact of the given kind from
+// the cache c, or computes it and records it there; with no cache it
+// only computes.
+func cachedArtifact[T any](c *Cache, kind, app string, compute func(app string) T) T {
+	ref := cacheRef{Kind: kind, App: app}
+	var v T
+	if c != nil && c.load(ref, &v) {
+		return v
 	}
-}
-
-func (c *Cache) loadFig5(app string) (fig5Artifact, bool) {
-	var f fig5Artifact
-	ok := c.load(cacheRef{Kind: cacheKindFig5, App: app}, &f)
-	return f, ok
-}
-
-func (c *Cache) saveFig5(app string, f fig5Artifact) {
-	if err := c.save(cacheRef{Kind: cacheKindFig5, App: app}, f); err != nil {
-		fmt.Fprintf(os.Stderr, "ulmtsim: caching fig5/%s: %v\n", app, err)
+	v = compute(app)
+	if c != nil {
+		if err := c.save(ref, v); err != nil {
+			fmt.Fprintf(os.Stderr, "ulmtsim: caching %s/%s: %v\n", kind, app, err)
+		}
 	}
+	return v
 }

@@ -241,10 +241,12 @@ func TestCacheCorruptEntry(t *testing.T) {
 }
 
 // TestCacheFaultSeedsNeverShare requires every fault plan to address
-// its own entries: plans that differ only in their seed, plans that
-// differ in their rates, and no plan at all never share a
-// fingerprint, and a cache filled under one fault seed serves nothing
-// to another.
+// its own run entries: plans that differ only in their seed, plans
+// that differ in their rates, and no plan at all never share a
+// fingerprint, and a cache filled under one fault seed serves no run
+// to another. Derived artifacts come from the fault-free functional
+// miss trace, so the app's Table 2 sizing is the one entry the second
+// seed is served.
 func TestCacheFaultSeedsNeverShare(t *testing.T) {
 	seen := map[[32]byte]string{Options{Scale: workload.ScaleTiny, Seed: 1}.fingerprint(): "no plan"}
 	for _, spec := range []string{"light", "heavy", "drop-obs=500"} {
@@ -267,13 +269,17 @@ func TestCacheFaultSeedsNeverShare(t *testing.T) {
 		opt.Faults = fault.Light(faultSeed)
 		return opt
 	}
+	if c := openTestCache(t, t.TempDir(), optAt(1)); c.derivedFP != resumeOptions().fingerprint() {
+		t.Error("derived artifacts under a fault plan are not keyed by the fault-free fingerprint")
+	}
 	k := RunKey{App: "Mcf", Label: CfgRepl}
 	dir := t.TempDir()
 	cacheDirRunner(t, optAt(1), dir).Run(k.App, k.Label)
 	r := cacheDirRunner(t, optAt(2), dir)
 	got := r.Run(k.App, k.Label)
-	if r.cache.Hits() != 0 || r.RunsComputed() != 1 {
-		t.Errorf("fault seed 2 over a seed-1 cache: hits %d, computed %d; want 0 and 1", r.cache.Hits(), r.RunsComputed())
+	if r.cache.Hits() != 1 || r.cache.Misses() != 1 || r.RunsComputed() != 1 {
+		t.Errorf("fault seed 2 over a seed-1 cache: hits %d, misses %d, computed %d; want 1 (the sizing), 1 and 1",
+			r.cache.Hits(), r.cache.Misses(), r.RunsComputed())
 	}
 	if want := NewRunner(optAt(2)).Run(k.App, k.Label); !reflect.DeepEqual(got, want) {
 		t.Error("fault seed 2 over a seed-1 cache diverges from an uncached seed-2 run")

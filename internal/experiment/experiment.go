@@ -145,20 +145,16 @@ const (
 	CfgConvenRepl   = "Conven4+Repl"
 	CfgConvenReplMC = "Conven4+ReplMC"
 	CfgReplMC       = "ReplMC"
-	CfgDASP         = "DASP"
-	CfgSeq1         = "Seq1"
-	CfgSeq4         = "Seq4"
-	CfgSeq4Repl     = "Seq4+Repl"
 	CfgCustom       = "Custom"
 )
 
-// sizing is the memoized result of the Table 2 row-sizing rule, plus
-// the miss count of the trace it was derived from (so a cached sizing
-// lets Table 2 render without re-extracting the trace).
+// sizing is the memoized and cached result of the Table 2 row-sizing
+// rule, plus the miss count of the trace it was derived from (so a
+// cached sizing lets Table 2 render without re-extracting the trace).
 type sizing struct {
-	misses int
-	rows   int
-	rate   float64
+	Misses int     `json:"misses"`
+	Rows   int     `json:"rows"`
+	Rate   float64 `json:"rate"`
 }
 
 // Runner memoizes op streams, miss traces, per-app table sizing, and
@@ -289,24 +285,17 @@ func (r *Runner) MissTrace(app string) []mem.Line {
 // sizes every table without generating a single op stream.
 func (r *Runner) sizeRows(app string) sizing {
 	return r.rows.get(app, func() sizing {
-		if r.cache != nil {
-			if a, ok := r.cache.loadSizing(app); ok {
-				return sizing{misses: a.Misses, rows: a.Rows, rate: a.Rate}
-			}
-		}
-		tr := r.MissTrace(app)
-		n, rate := table.SizeRows(tr, 2, 0.05, 1<<10, 1<<22)
-		s := sizing{misses: len(tr), rows: n, rate: rate}
-		if r.cache != nil {
-			r.cache.saveSizing(app, sizingArtifact{Misses: s.misses, Rows: s.rows, Rate: s.rate})
-		}
-		return s
+		return cachedArtifact(r.cache, cacheKindSizing, app, func(app string) sizing {
+			tr := r.MissTrace(app)
+			n, rate := table.SizeRows(tr, 2, 0.05, 1<<10, 1<<22)
+			return sizing{Misses: len(tr), Rows: n, Rate: rate}
+		})
 	})
 }
 
 // NumRows returns the Table 2 sizing for an application: the lowest
 // power of two with <5% of insertions replacing a valid row.
-func (r *Runner) NumRows(app string) int { return r.sizeRows(app).rows }
+func (r *Runner) NumRows(app string) int { return r.sizeRows(app).Rows }
 
 // predictorRows sizes the large conflict-free tables of the Fig 5
 // methodology (the paper uses NumRows=256K; smaller scales use
@@ -337,8 +326,6 @@ func (r *Runner) BuildConfig(app, label string) core.Config {
 	case CfgNoPref:
 	case CfgConven4:
 		conven()
-	case CfgDASP:
-		cfg.DASP = must(prefetch.NewConven(4, 6))
 	case CfgBase:
 		cfg.ULMT = prefetch.NewBase(table.NewBase(table.BaseParams(rows), TableBase))
 	case CfgChain:
@@ -356,15 +343,6 @@ func (r *Runner) BuildConfig(app, label string) core.Config {
 		conven()
 		cfg.ULMT = newRepl(3)
 		cfg.MemProc = memproc.DefaultConfig(memproc.InNorthBridge)
-	case CfgSeq1:
-		cfg.ULMT = must(prefetch.NewSeq(1, 6, SeqStateBase))
-	case CfgSeq4:
-		cfg.ULMT = must(prefetch.NewSeq(4, 6, SeqStateBase))
-	case CfgSeq4Repl:
-		cfg.ULMT = &prefetch.Combined{
-			First:  must(prefetch.NewSeq(4, 6, SeqStateBase)),
-			Second: newRepl(3),
-		}
 	case CfgCustom:
 		// Table 5: CG runs Seq1+Repl in Verbose mode; MST and Mcf
 		// run Repl with NumLevels=4; Conven4 stays on. Applications

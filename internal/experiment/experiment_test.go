@@ -53,7 +53,7 @@ func TestBuildConfigAllLabels(t *testing.T) {
 	r := tinyRunner()
 	for _, label := range []string{
 		CfgNoPref, CfgConven4, CfgBase, CfgChain, CfgRepl, CfgReplMC,
-		CfgConvenRepl, CfgConvenReplMC, CfgSeq1, CfgSeq4, CfgSeq4Repl, CfgCustom,
+		CfgConvenRepl, CfgConvenReplMC, CfgCustom,
 	} {
 		cfg := r.BuildConfig("Mcf", label)
 		switch label {
@@ -65,7 +65,7 @@ func TestBuildConfigAllLabels(t *testing.T) {
 			if cfg.Conven == nil || cfg.ULMT != nil {
 				t.Errorf("%s: wrong prefetchers", label)
 			}
-		case CfgBase, CfgChain, CfgRepl, CfgReplMC, CfgSeq1, CfgSeq4, CfgSeq4Repl:
+		case CfgBase, CfgChain, CfgRepl, CfgReplMC:
 			if cfg.ULMT == nil {
 				t.Errorf("%s: no ULMT", label)
 			}

@@ -13,10 +13,11 @@ import (
 var Fig5Algorithms = []string{"Seq1", "Seq4", "Base", "Chain", "Repl", "Seq4+Base", "Seq4+Repl"}
 
 // Fig5Row holds one application's prediction accuracies: Acc[alg][k]
-// is the fraction of misses correctly predicted at level k+1.
+// is the fraction of misses correctly predicted at level k+1. Its
+// cache entry holds only Acc: the app is part of the entry's key.
 type Fig5Row struct {
-	App string
-	Acc map[string][]float64
+	App string               `json:"-"`
+	Acc map[string][]float64 `json:"acc"`
 }
 
 // Fig5 measures, for every application, the fraction of L2 misses
@@ -39,49 +40,49 @@ func (r *Runner) Fig5() []Fig5Row {
 // exactly, keeping warm reports byte-identical.
 func (r *Runner) fig5Row(app string) Fig5Row {
 	return r.fig5.get(app, func() Fig5Row {
-		if r.cache != nil {
-			if a, ok := r.cache.loadFig5(app); ok {
-				return Fig5Row{App: app, Acc: a.Acc}
-			}
-		}
-		const levels = 3
-		rows := r.predictorRows()
-		big := table.Params{NumRows: rows, Assoc: 4, NumSucc: 4, NumLevels: levels}
-
-		makePredictor := func(alg string) prefetch.Predictor {
-			switch alg {
-			case "Seq1":
-				return prefetch.NewSeqPredictor(1, levels)
-			case "Seq4":
-				return prefetch.NewSeqPredictor(4, levels)
-			case "Base":
-				return prefetch.NewBasePredictor(big)
-			case "Chain":
-				return prefetch.NewChainPredictor(big, levels)
-			case "Repl":
-				return prefetch.NewReplPredictor(big)
-			case "Seq4+Base":
-				return prefetch.NewCombinedPredictor("Seq4+Base",
-					prefetch.NewSeqPredictor(4, levels), prefetch.NewBasePredictor(big))
-			case "Seq4+Repl":
-				return prefetch.NewCombinedPredictor("Seq4+Repl",
-					prefetch.NewSeqPredictor(4, levels), prefetch.NewReplPredictor(big))
-			}
-			panic("experiment: unknown Fig 5 algorithm " + alg)
-		}
-
-		tr := r.MissTrace(app)
-		row := Fig5Row{App: app, Acc: make(map[string][]float64)}
-		for _, alg := range Fig5Algorithms {
-			p := makePredictor(alg)
-			row.Acc[alg] = prefetch.Accuracy(p, tr)
-			prefetch.RecyclePredictor(p)
-		}
-		if r.cache != nil {
-			r.cache.saveFig5(app, fig5Artifact{Acc: row.Acc})
-		}
+		row := cachedArtifact(r.cache, cacheKindFig5, app, r.computeFig5Row)
+		row.App = app
 		return row
 	})
+}
+
+// computeFig5Row runs the seven Fig 5 predictors over app's miss
+// trace.
+func (r *Runner) computeFig5Row(app string) Fig5Row {
+	const levels = 3
+	rows := r.predictorRows()
+	big := table.Params{NumRows: rows, Assoc: 4, NumSucc: 4, NumLevels: levels}
+
+	makePredictor := func(alg string) prefetch.Predictor {
+		switch alg {
+		case "Seq1":
+			return prefetch.NewSeqPredictor(1, levels)
+		case "Seq4":
+			return prefetch.NewSeqPredictor(4, levels)
+		case "Base":
+			return prefetch.NewBasePredictor(big)
+		case "Chain":
+			return prefetch.NewChainPredictor(big, levels)
+		case "Repl":
+			return prefetch.NewReplPredictor(big)
+		case "Seq4+Base":
+			return prefetch.NewCombinedPredictor("Seq4+Base",
+				prefetch.NewSeqPredictor(4, levels), prefetch.NewBasePredictor(big))
+		case "Seq4+Repl":
+			return prefetch.NewCombinedPredictor("Seq4+Repl",
+				prefetch.NewSeqPredictor(4, levels), prefetch.NewReplPredictor(big))
+		}
+		panic("experiment: unknown Fig 5 algorithm " + alg)
+	}
+
+	tr := r.MissTrace(app)
+	row := Fig5Row{App: app, Acc: make(map[string][]float64)}
+	for _, alg := range Fig5Algorithms {
+		p := makePredictor(alg)
+		row.Acc[alg] = prefetch.Accuracy(p, tr)
+		prefetch.RecyclePredictor(p)
+	}
+	return row
 }
 
 // --- Figure 6: time between L2 misses ---

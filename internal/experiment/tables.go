@@ -134,10 +134,10 @@ func (r *Runner) Table2() []Table2Row {
 		// cached invocation renders this table without extracting the
 		// miss trace (or generating the op stream) at all.
 		sz := r.sizeRows(app)
-		rows, rate := sz.rows, sz.rate
+		rows, rate := sz.Rows, sz.Rate
 		b, c, rp := table.TableSizes(rows)
 		out = append(out, Table2Row{
-			App: app, Misses: sz.misses, NumRows: rows, ReplaceRate: rate,
+			App: app, Misses: sz.Misses, NumRows: rows, ReplaceRate: rate,
 			BaseMB:  float64(b) / (1 << 20),
 			ChainMB: float64(c) / (1 << 20),
 			ReplMB:  float64(rp) / (1 << 20),

@@ -231,6 +231,20 @@ type ULMTStats struct {
 	CacheMisses  uint64 // misses in the memory processor's L1
 }
 
+// Add accumulates another memory thread's counters into u, for
+// machine-wide totals over several threads or shards.
+func (u *ULMTStats) Add(o ULMTStats) {
+	u.MissesProcessed += o.MissesProcessed
+	u.MissesDropped += o.MissesDropped
+	u.ResponseBusy += o.ResponseBusy
+	u.ResponseMem += o.ResponseMem
+	u.OccupancyBusy += o.OccupancyBusy
+	u.OccupancyMem += o.OccupancyMem
+	u.Instructions += o.Instructions
+	u.MemAccesses += o.MemAccesses
+	u.CacheMisses += o.CacheMisses
+}
+
 // AvgResponse returns the mean response time per processed miss.
 func (u ULMTStats) AvgResponse() float64 {
 	if u.MissesProcessed == 0 {
