@@ -41,14 +41,17 @@ func main() {
 	}
 	fmt.Printf("replaying %d ops from %s under %s\n", len(ops), *opsPath, *config)
 
-	if *rows == 0 {
-		*rows = ulmt.SizeTableRows(ulmt.MissTrace(ops))
-	}
-
 	mkBase := func() ulmt.Config {
 		cfg := ulmt.DefaultConfig()
 		cfg.Seed = *seed
 		return cfg
+	}
+	if *rows == 0 {
+		// Size from the miss stream of the machine the run uses: the
+		// page-mapping seed decides which physical lines miss.
+		bc := mkBase()
+		*rows = ulmt.SizeTableRows(trace.L2Misses(ops, trace.Config{
+			L1: bc.L1, L2: bc.L2, LinearPages: bc.LinearPages, Seed: bc.Seed}))
 	}
 	baseSys, err := ulmt.NewSystem(mkBase())
 	if err != nil {

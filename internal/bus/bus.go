@@ -17,13 +17,10 @@
 // paper's measurements.
 //
 // The model therefore runs as an active component on the simulation
-// engine. Completion can be delivered two ways: the TransferRequestTo
-// / TransferLineTo forms forward a typed (sim.Kind, sim.Event) pair
-// to a long-lived actor — the allocation-free path every per-miss
-// transfer uses — while the closure forms remain for one-off callers
-// and tests. Either way the bus itself is a sim.Actor: each in-flight
-// transfer is completed by one typed self-event, so a granted
-// transfer costs no allocation at all.
+// engine. TransferRequestTo and TransferLineTo deliver completion as a
+// typed (sim.Kind, sim.Event) pair to a long-lived actor, and the bus
+// itself is a sim.Actor: each in-flight transfer is completed by one
+// typed self-event, so a granted transfer costs no allocation at all.
 package bus
 
 import (
@@ -63,15 +60,14 @@ func DefaultConfig() Config {
 	return Config{CyclesPerBeat: 4, BeatsPerLine: 8, RequestBeats: 1}
 }
 
-// transfer is one queued bus occupancy. Completion goes to the typed
-// (actor, ekind, ev) target when actor is non-nil, else to onDone.
+// transfer is one queued bus occupancy and the typed (actor, ekind,
+// ev) target its completion goes to.
 type transfer struct {
-	dur    sim.Cycle
-	kind   Kind
-	actor  sim.Actor
-	ekind  sim.Kind
-	ev     sim.Event
-	onDone func(done sim.Cycle)
+	dur   sim.Cycle
+	kind  Kind
+	actor sim.Actor
+	ekind sim.Kind
+	ev    sim.Event
 }
 
 // ring is a FIFO of transfers on a reused circular buffer, so
@@ -128,7 +124,7 @@ func (r *ring) moveTo(dst *ring) *transfer {
 	}
 	e := &r.buf[r.head]
 	dst.buf[idx] = *e
-	e.actor, e.onDone, e.ev.P = nil, nil, nil
+	e.actor, e.ev.P = nil, nil
 	r.head++
 	if r.head == len(r.buf) {
 		r.head = 0
@@ -164,55 +160,33 @@ func New(eng *sim.Engine, cfg Config) *Bus { return &Bus{cfg: cfg, eng: eng} }
 // nominal). Used by the fault layer to model bus brownouts.
 func (b *Bus) SetStretch(f func(now, dur sim.Cycle) sim.Cycle) { b.stretch = f }
 
-// TransferRequest enqueues an address/command packet; onDone fires
-// when its last beat crosses. Closure form: allocates per call.
-func (b *Bus) TransferRequest(kind Kind, onDone func(done sim.Cycle)) {
-	t := b.enqueue(kind, b.requestCycles())
-	t.onDone = onDone
-	b.grant()
-}
-
-// TransferLine enqueues a full line transfer; onDone fires when the
-// last beat lands. Closure form: allocates per call.
-func (b *Bus) TransferLine(kind Kind, onDone func(done sim.Cycle)) {
-	t := b.enqueue(kind, b.LineCycles())
-	t.onDone = onDone
-	b.grant()
-}
-
 // TransferRequestTo enqueues an address/command packet, delivering
 // (ekind, ev) to a when the last beat crosses; the completion time is
 // the engine's Now at delivery. Allocation-free.
 func (b *Bus) TransferRequestTo(kind Kind, a sim.Actor, ekind sim.Kind, ev sim.Event) {
-	t := b.enqueue(kind, b.requestCycles())
-	t.actor, t.ekind, t.ev = a, ekind, ev
-	b.grant()
+	b.enqueue(kind, b.requestCycles(), a, ekind, ev)
 }
 
 // TransferLineTo enqueues a full line transfer, delivering (ekind,
 // ev) to a when the last beat lands. Allocation-free.
 func (b *Bus) TransferLineTo(kind Kind, a sim.Actor, ekind sim.Kind, ev sim.Event) {
-	t := b.enqueue(kind, b.LineCycles())
-	t.actor, t.ekind, t.ev = a, ekind, ev
-	b.grant()
+	b.enqueue(kind, b.LineCycles(), a, ekind, ev)
 }
 
 func (b *Bus) requestCycles() sim.Cycle { return b.cfg.RequestBeats * b.cfg.CyclesPerBeat }
 
-// enqueue claims the tail slot of the right priority queue and
-// initializes it in place; the caller fills the completion target
-// before calling grant. A pop leaves stale callback fields nil but
-// stale scalars behind, so every field is assigned here.
-func (b *Bus) enqueue(kind Kind, dur sim.Cycle) *transfer {
+// enqueue claims the tail slot of the right priority queue, writes
+// every field of the transfer in place (a pop leaves stale scalars
+// behind), and grants the bus if it is free.
+func (b *Bus) enqueue(kind Kind, dur sim.Cycle, a sim.Actor, ekind sim.Kind, ev sim.Event) {
 	var t *transfer
 	if kind == Demand {
 		t = b.highQ.next()
 	} else {
 		t = b.lowQ.next()
 	}
-	t.dur, t.kind = dur, kind
-	t.actor, t.ekind, t.ev, t.onDone = nil, 0, sim.Event{}, nil
-	return t
+	t.dur, t.kind, t.actor, t.ekind, t.ev = dur, kind, a, ekind, ev
+	b.grant()
 }
 
 // grant starts the next transfer if the medium is free.
@@ -270,19 +244,14 @@ func (b *Bus) Fire(_ sim.Kind, _ sim.Event) {
 	// before delivering: Fire may reenter enqueue and reshape the ring.
 	r := &b.inflight
 	e := &r.buf[r.head]
-	actor, ekind, ev, onDone := e.actor, e.ekind, e.ev, e.onDone
-	e.actor, e.onDone, e.ev.P = nil, nil, nil
+	actor, ekind, ev := e.actor, e.ekind, e.ev
+	e.actor, e.ev.P = nil, nil
 	r.head++
 	if r.head == len(r.buf) {
 		r.head = 0
 	}
 	r.n--
-	switch {
-	case actor != nil:
-		actor.Fire(ekind, ev)
-	case onDone != nil:
-		onDone(b.eng.Now())
-	}
+	actor.Fire(ekind, ev)
 	b.grant()
 }
 

@@ -7,18 +7,44 @@ import (
 	"ulmt/internal/sim"
 )
 
-func TestRequestAndLineTiming(t *testing.T) {
+// recorder is a test actor that logs every completion the bus
+// delivers to it: the event's I0 tag and the cycle it arrived.
+type recorder struct {
+	eng  *sim.Engine
+	tags []uint64
+	at   []sim.Cycle
+}
+
+func (r *recorder) Fire(_ sim.Kind, ev sim.Event) {
+	r.tags = append(r.tags, ev.I0)
+	r.at = append(r.at, r.eng.Now())
+}
+
+// line enqueues a line transfer tagged with its kind.
+func (r *recorder) line(b *Bus, kind Kind) {
+	b.TransferLineTo(kind, r, 0, sim.Event{I0: uint64(kind)})
+}
+
+// request enqueues a request packet tagged with its kind.
+func (r *recorder) request(b *Bus, kind Kind) {
+	b.TransferRequestTo(kind, r, 0, sim.Event{I0: uint64(kind)})
+}
+
+func newBus() (*sim.Engine, *Bus, *recorder) {
 	eng := sim.NewEngine()
-	b := New(eng, DefaultConfig())
-	var reqDone, lineDone sim.Cycle
-	b.TransferRequest(Demand, func(d sim.Cycle) { reqDone = d })
-	b.TransferLine(Demand, func(d sim.Cycle) { lineDone = d })
+	return eng, New(eng, DefaultConfig()), &recorder{eng: eng}
+}
+
+func TestRequestAndLineTiming(t *testing.T) {
+	eng, b, rec := newBus()
+	rec.request(b, Demand)
+	rec.line(b, Demand)
 	eng.Run()
-	if reqDone != 4 {
-		t.Errorf("request done at %d, want 4 (1 beat x 4 cycles)", reqDone)
+	if rec.at[0] != 4 {
+		t.Errorf("request done at %d, want 4 (1 beat x 4 cycles)", rec.at[0])
 	}
-	if lineDone != 4+32 {
-		t.Errorf("line done at %d, want 36 (queued behind the request)", lineDone)
+	if rec.at[1] != 4+32 {
+		t.Errorf("line done at %d, want 36 (queued behind the request)", rec.at[1])
 	}
 	if b.LineCycles() != 32 {
 		t.Errorf("LineCycles = %d", b.LineCycles())
@@ -26,61 +52,50 @@ func TestRequestAndLineTiming(t *testing.T) {
 }
 
 func TestBusSerializes(t *testing.T) {
-	eng := sim.NewEngine()
-	b := New(eng, DefaultConfig())
-	var d1, d2 sim.Cycle
-	b.TransferLine(Demand, func(d sim.Cycle) { d1 = d })
-	b.TransferLine(Demand, func(d sim.Cycle) { d2 = d })
+	eng, b, rec := newBus()
+	rec.line(b, Demand)
+	rec.line(b, Demand)
 	eng.Run()
-	if d2 != d1+32 {
-		t.Errorf("second transfer done at %d, want %d", d2, d1+32)
+	if rec.at[1] != rec.at[0]+32 {
+		t.Errorf("second transfer done at %d, want %d", rec.at[1], rec.at[0]+32)
 	}
 }
 
 func TestDemandPriorityOverPrefetch(t *testing.T) {
-	eng := sim.NewEngine()
-	b := New(eng, DefaultConfig())
-	var order []Kind
+	eng, b, rec := newBus()
 	// Occupy the bus, then enqueue three prefetches and one demand:
 	// the demand must be granted before the waiting prefetches.
-	b.TransferLine(Demand, func(sim.Cycle) { order = append(order, Demand) })
+	rec.line(b, Demand)
 	for i := 0; i < 3; i++ {
-		b.TransferLine(Prefetch, func(sim.Cycle) { order = append(order, Prefetch) })
+		rec.line(b, Prefetch)
 	}
-	eng.At(5, func() {
-		b.TransferLine(Demand, func(sim.Cycle) { order = append(order, Demand) })
-	})
+	eng.At(5, func() { rec.line(b, Demand) })
 	eng.Run()
-	if len(order) != 5 {
-		t.Fatalf("completions = %d", len(order))
+	if len(rec.tags) != 5 {
+		t.Fatalf("completions = %d", len(rec.tags))
 	}
-	if order[1] != Demand {
-		t.Errorf("late demand transfer was not prioritized: %v", order)
+	if Kind(rec.tags[1]) != Demand {
+		t.Errorf("late demand transfer was not prioritized: %v", rec.tags)
 	}
 }
 
 func TestWritebackYieldsToDemand(t *testing.T) {
-	eng := sim.NewEngine()
-	b := New(eng, DefaultConfig())
-	var order []Kind
-	b.TransferLine(Writeback, func(sim.Cycle) { order = append(order, Writeback) })
-	b.TransferLine(Writeback, func(sim.Cycle) { order = append(order, Writeback) })
-	eng.At(1, func() {
-		b.TransferLine(Demand, func(sim.Cycle) { order = append(order, Demand) })
-	})
+	eng, b, rec := newBus()
+	rec.line(b, Writeback)
+	rec.line(b, Writeback)
+	eng.At(1, func() { rec.line(b, Demand) })
 	eng.Run()
-	if order[1] != Demand {
-		t.Errorf("demand did not preempt queued writebacks: %v", order)
+	if Kind(rec.tags[1]) != Demand {
+		t.Errorf("demand did not preempt queued writebacks: %v", rec.tags)
 	}
 }
 
 func TestUtilizationAccounting(t *testing.T) {
-	eng := sim.NewEngine()
-	b := New(eng, DefaultConfig())
-	b.TransferLine(Demand, nil)
-	b.TransferLine(Prefetch, nil)
-	b.TransferRequest(Prefetch, nil)
-	b.TransferLine(Writeback, nil)
+	eng, b, rec := newBus()
+	rec.line(b, Demand)
+	rec.line(b, Prefetch)
+	rec.request(b, Prefetch)
+	rec.line(b, Writeback)
 	eng.Run()
 	st := b.Stats()
 	if st.BusyCycles != 32+32+4+32 {
@@ -92,10 +107,9 @@ func TestUtilizationAccounting(t *testing.T) {
 }
 
 func TestBacklogDrains(t *testing.T) {
-	eng := sim.NewEngine()
-	b := New(eng, DefaultConfig())
+	eng, b, rec := newBus()
 	for i := 0; i < 5; i++ {
-		b.TransferLine(Prefetch, nil)
+		rec.line(b, Prefetch)
 	}
 	if b.Backlog() != 4 { // one granted immediately
 		t.Errorf("backlog = %d, want 4", b.Backlog())
@@ -108,24 +122,22 @@ func TestBacklogDrains(t *testing.T) {
 
 func TestCompletionsNeverOverlapProperty(t *testing.T) {
 	f := func(kinds []bool) bool {
-		eng := sim.NewEngine()
-		b := New(eng, DefaultConfig())
-		var dones []sim.Cycle
+		eng, b, rec := newBus()
 		for _, pf := range kinds {
 			k := Demand
 			if pf {
 				k = Prefetch
 			}
-			b.TransferLine(k, func(d sim.Cycle) { dones = append(dones, d) })
+			rec.line(b, k)
 		}
 		eng.Run()
-		if len(dones) != len(kinds) {
+		if len(rec.at) != len(kinds) {
 			return false
 		}
 		// Sorted completion times must be exactly 32 cycles apart:
 		// full serialization, no overlap, no gaps from time zero.
-		for i := 1; i < len(dones); i++ {
-			if dones[i]-dones[i-1] != 32 {
+		for i := 1; i < len(rec.at); i++ {
+			if rec.at[i]-rec.at[i-1] != 32 {
 				return false
 			}
 		}
@@ -138,15 +150,14 @@ func TestCompletionsNeverOverlapProperty(t *testing.T) {
 
 func TestBusyEqualsSumOfTransfersProperty(t *testing.T) {
 	f := func(ops []bool) bool {
-		eng := sim.NewEngine()
-		b := New(eng, DefaultConfig())
+		eng, b, rec := newBus()
 		var want sim.Cycle
 		for _, line := range ops {
 			if line {
-				b.TransferLine(Demand, nil)
+				rec.line(b, Demand)
 				want += 32
 			} else {
-				b.TransferRequest(Demand, nil)
+				rec.request(b, Demand)
 				want += 4
 			}
 		}

@@ -140,15 +140,12 @@ func TestChaosDemandSemanticsExact(t *testing.T) {
 }
 
 // TestRunDeterminismDeep asserts that two Systems built from the same
-// configuration — including a fault plan and an armed watchdog —
-// produce byte-identical results structs, field for field.
+// configuration — including a fault plan — produce byte-identical
+// results structs, field for field.
 func TestRunDeterminismDeep(t *testing.T) {
 	ops := chaseOps(2048, 2)
 	mk := func() Results {
-		cfg := chaosConfig(fault.Light(9))
-		cfg.BacklogHighWater = 12
-		cfg.BacklogBackoff = 1000
-		return mustSystem(cfg).Run("chase", ops)
+		return mustSystem(chaosConfig(fault.Light(9))).Run("chase", ops)
 	}
 	a, b := mk(), mk()
 	if !reflect.DeepEqual(a, b) {
@@ -201,55 +198,6 @@ func TestNilPlanGolden(t *testing.T) {
 			t.Errorf("%s: nil plan injected faults: %+v sheds=%d drops=%d",
 				lbl, r.Faults, r.DegradedSheds, r.DegradedDrops)
 		}
-	}
-}
-
-// TestWatchdogShedsBacklog arms the occupancy watchdog and pins the
-// ULMT behind permanent preemption stalls, so queue 2 must hit the
-// high-water mark: the watchdog sheds the oldest half, opens a backoff
-// window that refuses new observations, and the run still completes.
-func TestWatchdogShedsBacklog(t *testing.T) {
-	ops := chaseOps(4096, 2)
-	plan, err := fault.NewPlan(fault.Config{
-		Seed:        3,
-		StallPer10k: 10000, // every session is followed by a long preemption
-		MaxStall:    50000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := chaosConfig(plan)
-	cfg.BacklogHighWater = 8
-	cfg.BacklogBackoff = 2000
-	sys := mustSystem(cfg)
-	r := sys.Run("chase", ops)
-
-	if r.OpsRetired != uint64(len(ops)) {
-		t.Fatalf("retired %d of %d ops", r.OpsRetired, len(ops))
-	}
-	if !sys.Quiesced() {
-		t.Fatalf("system did not quiesce: %s", sys.DrainState())
-	}
-	if r.DegradedSheds == 0 {
-		t.Error("watchdog never shed the backlog despite a stalled ULMT")
-	}
-	if r.DegradedDrops == 0 {
-		t.Error("backoff window never refused an observation")
-	}
-	t.Logf("sheds=%d backoff-drops=%d stalls=%d", r.DegradedSheds, r.DegradedDrops, r.Faults.Stalls)
-}
-
-// TestWatchdogDisabledByDefault: an unarmed watchdog (the default)
-// must never shed or refuse, even under the same stall schedule.
-func TestWatchdogDisabledByDefault(t *testing.T) {
-	ops := chaseOps(1024, 2)
-	plan, err := fault.NewPlan(fault.Config{Seed: 3, StallPer10k: 10000, MaxStall: 50000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := mustSystem(chaosConfig(plan)).Run("chase", ops)
-	if r.DegradedSheds != 0 || r.DegradedDrops != 0 {
-		t.Fatalf("disarmed watchdog acted: sheds=%d drops=%d", r.DegradedSheds, r.DegradedDrops)
 	}
 }
 

@@ -46,8 +46,9 @@ type Config struct {
 	QueueDepth int
 	FilterSize int
 
-	// MemProc places and times the memory processor; used only when
-	// ULMT is non-nil.
+	// MemProc places and times the memory processor; used only when a
+	// memory thread runs (ULMT or Active, or a multicore machine's
+	// shards). Every push pays its PrefetchToDRAM.
 	MemProc memproc.Config
 
 	// ULMT is the memory-side prefetching algorithm, or nil for
@@ -66,13 +67,6 @@ type Config struct {
 
 	// Conven is the processor-side hardware prefetcher, or nil.
 	Conven *prefetch.Conven
-
-	// DASP is a hardwired memory-side stride prefetcher in the
-	// controller, like NVIDIA's DASP engine the paper cites as
-	// related work [22]: it watches the same miss stream the ULMT
-	// would, costs no thread time, but only recognizes sequential
-	// runs. A baseline for the ULMT's generality claim.
-	DASP *prefetch.Conven
 
 	// LinearPages disables the scattered first-touch page mapping.
 	LinearPages bool
@@ -95,18 +89,6 @@ type Config struct {
 	// default — leaves every fault path compiled out of the event
 	// flow: results are bit-identical to a plan-free build.
 	Faults *fault.Plan
-
-	// BacklogHighWater arms the ULMT occupancy watchdog: when the
-	// queue-2 backlog reaches this many entries, the controller sheds
-	// the oldest observations down to half the mark and refuses new
-	// ones for BacklogBackoff cycles, keeping a lagging memory thread
-	// from chewing through a stale backlog instead of fresh misses.
-	// 0 (the default) disables the watchdog. Shed and refused
-	// observations are counted in Results.DegradedSheds/DegradedDrops;
-	// like any lost observation they cost only prefetch coverage.
-	BacklogHighWater int
-	// BacklogBackoff is the watchdog's refuse window after a shed.
-	BacklogBackoff sim.Cycle
 }
 
 // Validate reports the first configuration error, or nil. NewSystem
@@ -136,20 +118,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("memproc cache: %w", err)
 		}
 	}
-	if err := c.Faults.Config().Validate(); err != nil {
-		return err
-	}
-	if c.BacklogHighWater < 0 {
-		return fmt.Errorf("core: BacklogHighWater must be >= 0, got %d", c.BacklogHighWater)
-	}
-	if c.BacklogHighWater > 0 && c.BacklogHighWater > c.QueueDepth {
-		return fmt.Errorf("core: BacklogHighWater %d exceeds QueueDepth %d",
-			c.BacklogHighWater, c.QueueDepth)
-	}
-	if c.BacklogBackoff < 0 {
-		return fmt.Errorf("core: BacklogBackoff must be >= 0, got %d", c.BacklogBackoff)
-	}
-	return nil
+	return c.Faults.Config().Validate()
 }
 
 // DefaultConfig returns the paper's Table 3 machine with no

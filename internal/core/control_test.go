@@ -51,13 +51,12 @@ func ckptConfigs() map[string]func() Config {
 			cfg.ULMT = mustSeq(4, 6, TableBase-4096)
 			return cfg
 		},
-		"Combined+DASP": func() Config {
+		"Combined": func() Config {
 			cfg := DefaultConfig()
 			cfg.ULMT = &prefetch.Combined{
 				First:  mustSeq(4, 6, TableBase-4096),
 				Second: prefetch.NewRepl(table.NewRepl(table.ReplParams(1<<12), TableBase)),
 			}
-			cfg.DASP = mustConven(4, 6)
 			return cfg
 		},
 	}

@@ -28,14 +28,6 @@ func (s *System) arriveController(pm *l2Miss) {
 		s.lastMissAt = now
 		// The active thread's progress signal.
 		s.activeCredit(pm.line)
-		// The hardwired memory-side stride engine, if fitted,
-		// reacts instantly (it is a controller circuit, not a
-		// thread).
-		if s.cfg.DASP != nil {
-			if lines := s.cfg.DASP.OnMiss(pm.line); len(lines) > 0 {
-				s.depositPrefetches(lines)
-			}
-		}
 	}
 
 	// A miss about to enter queues 1 and 2 that matches a waiting
@@ -67,11 +59,7 @@ func (s *System) arriveController(pm *l2Miss) {
 		case s.dropObservationFault():
 			// Injected loss: the ULMT never sees this miss. Purely a
 			// learning/coverage loss — queue 1 already has the demand.
-		case !s.watchdogAdmit(now):
-			// Watchdog backoff: shedding incoming observations while
-			// the lagging ULMT catches up.
 		case s.q2.Push(queue.Entry{Line: pm.line, Prefetch: pm.prefetch, At: now}):
-			s.watchdogCheck(now)
 			if s.shards != nil {
 				if s.shards.onStage != nil {
 					s.shards.onStage(s.coreID, pm.line)
@@ -101,34 +89,6 @@ func (s *System) dropObservationFault() bool {
 		return true
 	}
 	return false
-}
-
-// watchdogAdmit reports whether the occupancy watchdog is accepting
-// observations; during a backoff window it refuses and counts them.
-func (s *System) watchdogAdmit(now sim.Cycle) bool {
-	if s.cfg.BacklogHighWater <= 0 || now >= s.backoffUntil {
-		return true
-	}
-	s.degradedDropped++
-	return false
-}
-
-// watchdogCheck sheds the oldest half of the ULMT backlog when it
-// reaches the high-water mark and opens a backoff window. Shedding
-// oldest-first keeps the freshest misses — the ones whose successors
-// are still ahead of the processor — for when the thread resumes.
-func (s *System) watchdogCheck(now sim.Cycle) {
-	hw := s.cfg.BacklogHighWater
-	if hw <= 0 || s.q2.Len() < hw {
-		return
-	}
-	for s.q2.Len() > hw/2 {
-		if _, ok := s.q2.Pop(); !ok {
-			break
-		}
-		s.degradedSheds++
-	}
-	s.backoffUntil = now + s.cfg.BacklogBackoff
 }
 
 // pumpMemory is the controller's issue port: one request at a time,
@@ -228,15 +188,7 @@ func (s *System) replyArrives(pm *l2Miss) {
 // the line toward the L2. From the North Bridge the request pays the
 // extra hop to the DRAM array (Table 3: 25 cycles).
 func (s *System) issuePush(line mem.Line) {
-	now := s.eng.Now()
-	if s.mp != nil {
-		// ULMT prefetches pay the location-dependent hop to the
-		// DRAM array; a hardwired controller engine (DASP) does not.
-		now += s.mp.PrefetchIssueDelay()
-	} else if s.shards != nil {
-		now += s.shards.issueDelay
-	}
-	bankStart, rowHit := s.ram.Access(now, line)
+	bankStart, rowHit := s.ram.Access(s.eng.Now()+s.cfg.MemProc.PrefetchToDRAM, line)
 	lat := s.cfg.DRAMRowMissLat
 	if rowHit {
 		lat = s.cfg.DRAMRowHitLat

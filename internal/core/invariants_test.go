@@ -120,11 +120,6 @@ func TestSystemInvariantsAllConfigs(t *testing.T) {
 		},
 		func() Config {
 			cfg := DefaultConfig()
-			cfg.DASP = mustConven(4, 6)
-			return cfg
-		},
-		func() Config {
-			cfg := DefaultConfig()
 			cfg.Active = &ActiveConfig{Slice: BuildSlice(ops, false, 0, mem.LineSize64)}
 			return cfg
 		},
@@ -145,6 +140,28 @@ type busRec struct {
 	kind bus.Kind
 	seq  int
 	done sim.Cycle
+}
+
+// busRecorder is a test actor that logs each bus completion: the
+// transfer's kind (delivered as the event kind), its per-class
+// sequence number (I0) and the cycle it landed.
+type busRecorder struct {
+	eng *sim.Engine
+	got []busRec
+}
+
+func (r *busRecorder) Fire(k sim.Kind, ev sim.Event) {
+	r.got = append(r.got, busRec{kind: bus.Kind(k), seq: int(ev.I0), done: r.eng.Now()})
+}
+
+// transfer enqueues a line or a request packet of kind, tagged seq.
+func (r *busRecorder) transfer(b *bus.Bus, kind bus.Kind, seq int, line bool) {
+	ev := sim.Event{I0: uint64(seq)}
+	if line {
+		b.TransferLineTo(kind, r, sim.Kind(kind), ev)
+	} else {
+		b.TransferRequestTo(kind, r, sim.Kind(kind), ev)
+	}
 }
 
 // TestBusNoOverlapRandomTraffic drives a standalone shared bus with
@@ -168,7 +185,7 @@ func TestBusNoOverlapRandomTraffic(t *testing.T) {
 		return dur
 	})
 
-	var got []busRec
+	rec := &busRecorder{eng: eng}
 	enq := map[bus.Kind]int{}
 	state := uint64(7)
 	next := func() uint64 { state = state*6364136223846793005 + 13; return state >> 8 }
@@ -185,17 +202,11 @@ func TestBusNoOverlapRandomTraffic(t *testing.T) {
 		eng.At(at, func() {
 			s := enq[k]
 			enq[k] = s + 1
-			onDone := func(done sim.Cycle) {
-				got = append(got, busRec{kind: k, seq: s, done: done})
-			}
-			if line {
-				b.TransferLine(k, onDone)
-			} else {
-				b.TransferRequest(k, onDone)
-			}
+			rec.transfer(b, k, s, line)
 		})
 	}
 	eng.Run()
+	got := rec.got
 
 	if len(got) != 300 {
 		t.Fatalf("enqueued 300 transfers, %d completed", len(got))
@@ -232,18 +243,15 @@ func TestBusGrantFairnessBound(t *testing.T) {
 	eng := sim.NewEngine()
 	b := bus.New(eng, bus.DefaultConfig())
 
-	var got []busRec
+	rec := &busRecorder{eng: eng}
 	var want sim.Cycle
 	seq := 0
 	add := func(kind bus.Kind, line bool) {
-		s := seq
+		rec.transfer(b, kind, seq, line)
 		seq++
-		onDone := func(done sim.Cycle) { got = append(got, busRec{kind: kind, seq: s, done: done}) }
 		if line {
-			b.TransferLine(kind, onDone)
 			want += b.LineCycles()
 		} else {
-			b.TransferRequest(kind, onDone)
 			want += bus.DefaultConfig().RequestBeats * bus.DefaultConfig().CyclesPerBeat
 		}
 	}
@@ -254,6 +262,7 @@ func TestBusGrantFairnessBound(t *testing.T) {
 		add(bus.Prefetch, true)
 	}
 	eng.Run()
+	got := rec.got
 
 	if len(got) != seq {
 		t.Fatalf("enqueued %d transfers, %d completed", seq, len(got))

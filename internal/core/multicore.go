@@ -43,10 +43,10 @@ type CoreApp struct {
 // MulticoreConfig describes an N-core machine.
 type MulticoreConfig struct {
 	// Base supplies the per-core machine and the shared bus/DRAM
-	// geometry. Its ULMT, Active, Conven and DASP fields must be nil:
+	// geometry. Its ULMT, Active and Conven fields must be nil:
 	// prefetching is configured per core (CoreApp.ULMT) or shared
 	// (SharedULMT), and the single-instance prefetcher state of
-	// Conven/DASP cannot be replicated safely.
+	// Conven cannot be replicated safely.
 	Base Config
 	// Apps assigns one application per core; len(Apps) is N.
 	Apps []CoreApp
@@ -127,8 +127,8 @@ func NewMultiSystem(mc MulticoreConfig) (*MultiSystem, error) {
 	if mc.Base.ULMT != nil || mc.Base.Active != nil {
 		return nil, fmt.Errorf("core: multicore Base.ULMT/Active must be nil; use CoreApp.ULMT or SharedULMT")
 	}
-	if mc.Base.Conven != nil || mc.Base.DASP != nil {
-		return nil, fmt.Errorf("core: multicore does not support Conven/DASP (single-instance prefetcher state)")
+	if mc.Base.Conven != nil {
+		return nil, fmt.Errorf("core: multicore does not support Conven (single-instance prefetcher state)")
 	}
 	if mc.Shards < 0 {
 		return nil, fmt.Errorf("core: shard count must be >= 0, got %d", mc.Shards)

@@ -476,3 +476,27 @@ func TestShardAttribConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestShardStagingOverflow gives a two-core sharded machine a queue
+// depth of one, so a miss can reach a core's staging buffer before the
+// delivery round drains the previous one; the overflowing observation
+// is dropped against its shard (shardSet.dropObservation). Every op
+// must still retire, each core's results must pass their checks, and
+// the machine must drain.
+func TestShardStagingOverflow(t *testing.T) {
+	streams := [][]workload.Op{seqOps(8192, 1), seqOps(8192, 1)}
+	mc := shardedConfig(streams, 2, false)
+	mc.Base.QueueDepth = 1
+	res := runMC(t, mc)
+	for i, r := range res.Cores {
+		if r.OpsRetired != uint64(len(streams[i])) {
+			t.Errorf("core %d retired %d of %d ops", i, r.OpsRetired, len(streams[i]))
+		}
+		if err := r.Check(); err != nil {
+			t.Errorf("core %d: %v", i, err)
+		}
+	}
+	if res.ULMT.MissesDropped == 0 {
+		t.Error("no observation overflowed a staging buffer")
+	}
+}

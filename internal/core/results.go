@@ -66,10 +66,10 @@ type Results struct {
 	// Faults counts the fault events the configured plan injected
 	// into this run (all zero without a plan).
 	Faults fault.Injected
-	// DegradedSheds counts observations the occupancy watchdog shed
-	// from the ULMT backlog; DegradedDrops observations it refused
-	// during backoff windows. Both are zero unless
-	// Config.BacklogHighWater arms the watchdog.
+	// DegradedSheds and DegradedDrops are always zero: a lagging
+	// memory thread loses observations only to queue-2 overflow
+	// (Q2Drops). They stay only because perfbench hashes every field
+	// of Results against its pinned digests.
 	DegradedSheds uint64
 	DegradedDrops uint64
 

@@ -104,11 +104,10 @@ type shardJob struct {
 
 // shardSet is the sharded ULMT: one sim.Actor shared by every core.
 type shardSet struct {
-	eng        *sim.Engine
-	cores      []*System
-	shards     []shard
-	q3cap      int
-	issueDelay sim.Cycle
+	eng    *sim.Engine
+	cores  []*System
+	shards []shard
+	q3cap  int
 
 	// thread is the one memory thread every shard runs: sessions run
 	// synchronously at delivery, and its emit buffer is copied into
@@ -158,10 +157,9 @@ func newShardSet(eng *sim.Engine, cfg Config, alg prefetch.Algorithm, nsh int) (
 		return nil, fmt.Errorf("core: shard count must be >= 1, got %d", nsh)
 	}
 	ss := &shardSet{
-		eng:        eng,
-		shards:     make([]shard, nsh),
-		q3cap:      cfg.QueueDepth,
-		issueDelay: cfg.MemProc.PrefetchToDRAM,
+		eng:    eng,
+		shards: make([]shard, nsh),
+		q3cap:  cfg.QueueDepth,
 	}
 	ss.thread = newMemThread(alg, cfg, &ss.inj)
 	if rk, ok := alg.(interface{ RowKey(mem.Line) uint64 }); ok {

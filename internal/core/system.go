@@ -99,11 +99,6 @@ type System struct {
 	obsSeen  uint64
 	pushSeen uint64
 	inj      fault.Injected
-
-	// Occupancy watchdog (graceful degradation under backlog).
-	backoffUntil    sim.Cycle
-	degradedSheds   uint64
-	degradedDropped uint64
 }
 
 // l1Miss tracks one outstanding L1 miss and the processor requests
@@ -327,8 +322,6 @@ func (s *System) results(app string) Results {
 		CrossMatchedDemand:   s.xMatchDemand,
 		CrossMatchedPush:     s.xMatchPush,
 		Faults:               s.inj,
-		DegradedSheds:        s.degradedSheds,
-		DegradedDrops:        s.degradedDropped,
 		CacheFP:              s.CacheFingerprint(),
 		OpsRetired:           s.proc.Retired,
 		CPUIssueCycles:       s.proc.IssueCycles,

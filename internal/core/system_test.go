@@ -304,3 +304,24 @@ func TestScatteredPagingDefeatsConvenAcrossPages(t *testing.T) {
 			sr.ConvenIssued, lr.ConvenIssued)
 	}
 }
+
+// TestL2MSHRExhaustionRetries runs independent misses against an L2
+// with only two MSHRs, so most L2 misses find the file full and take
+// the retry path (retryL2Miss). Every op must still retire, the
+// results must pass their checks, and the machine must drain.
+func TestL2MSHRExhaustionRetries(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.L2.MSHRs = 2
+	ops := seqOps(8192, 1)
+	sys := mustSystem(cfg)
+	r := sys.Run("seq", ops)
+	if r.OpsRetired != uint64(len(ops)) {
+		t.Fatalf("retired %d of %d ops", r.OpsRetired, len(ops))
+	}
+	if err := r.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if !sys.Quiesced() {
+		t.Fatalf("system did not quiesce: %s", sys.DrainState())
+	}
+}

@@ -68,9 +68,6 @@ type Config struct {
 	// before reaching the DRAM (25 cycles from the North Bridge,
 	// none when the core is in the DRAM chip).
 	PrefetchToDRAM sim.Cycle
-	// CyclesPerInstr converts instruction estimates to main cycles
-	// (peak: 1.0 — two instructions per 800 MHz cycle).
-	CyclesPerInstr float64
 	// BurstCycles is the charge for a miss that lands in the same
 	// DRAM row as the immediately preceding miss of the same
 	// session. The in-DRAM data bus is 32 bytes wide at 800 MHz
@@ -92,7 +89,6 @@ func DefaultConfig(loc Location) Config {
 		Location:       loc,
 		Cache:          DefaultCacheConfig(),
 		CacheHitCycles: 2,
-		CyclesPerInstr: 1.0,
 	}
 	if loc == InNorthBridge {
 		c.RowHitRT, c.RowMissRT, c.PrefetchToDRAM = 65, 100, 25
@@ -118,9 +114,6 @@ type MemProc struct {
 // New builds a memory processor over the shared DRAM, or reports why
 // its cache configuration is invalid.
 func New(cfg Config, d *dram.DRAM) (*MemProc, error) {
-	if cfg.CyclesPerInstr <= 0 {
-		cfg.CyclesPerInstr = 1.0
-	}
 	c, err := cache.New(cfg.Cache)
 	if err != nil {
 		return nil, err
@@ -147,7 +140,6 @@ type Session struct {
 	start sim.Cycle
 	busy  sim.Cycle
 	memt  sim.Cycle
-	frac  float64 // sub-cycle instruction remainder
 	inst  uint64
 
 	respBusy sim.Cycle
@@ -165,13 +157,11 @@ func (mp *MemProc) Begin(now sim.Cycle) *Session {
 	return s
 }
 
-// Instr implements table.Sink: n instructions at the core's rate.
+// Instr implements table.Sink: n instructions at the core's peak
+// rate of one per main cycle.
 func (s *Session) Instr(n int) {
 	s.inst += uint64(n)
-	s.frac += float64(n) * s.mp.cfg.CyclesPerInstr
-	whole := sim.Cycle(s.frac)
-	s.frac -= float64(whole)
-	s.busy += whole
+	s.busy += sim.Cycle(n)
 }
 
 // Touch implements table.Sink: a table read or write of size bytes.
@@ -246,8 +236,3 @@ func (mp *MemProc) Finish(s *Session) {
 	mp.st.Instructions += s.inst
 	mp.pool.Put(s)
 }
-
-// PrefetchIssueDelay is the extra latency before a ULMT prefetch
-// request reaches the DRAM array (Fig 3: 25 cycles from the North
-// Bridge, zero in-DRAM).
-func (mp *MemProc) PrefetchIssueDelay() sim.Cycle { return mp.cfg.PrefetchToDRAM }

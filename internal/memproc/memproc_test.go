@@ -19,18 +19,6 @@ func TestInstrCharging(t *testing.T) {
 	}
 }
 
-func TestInstrFractionalAccumulation(t *testing.T) {
-	cfg := DefaultConfig(InDRAM)
-	cfg.CyclesPerInstr = 0.5
-	mp := mustNew(cfg, mustDRAM())
-	s := mp.Begin(0)
-	s.Instr(1)
-	s.Instr(1)
-	if s.Elapsed() != 1 {
-		t.Errorf("two half-cycle instructions = %d, want 1", s.Elapsed())
-	}
-}
-
 func TestTouchMissThenHit(t *testing.T) {
 	mp := newMP(InDRAM)
 	s := mp.Begin(0)
@@ -83,7 +71,7 @@ func TestNorthBridgeSlower(t *testing.T) {
 	if sb.Elapsed() <= sa.Elapsed() {
 		t.Errorf("NB touch (%d) must cost more than in-DRAM (%d)", sb.Elapsed(), sa.Elapsed())
 	}
-	if a.PrefetchIssueDelay() != 0 || b.PrefetchIssueDelay() != 25 {
+	if a.Config().PrefetchToDRAM != 0 || b.Config().PrefetchToDRAM != 25 {
 		t.Error("prefetch issue delays wrong")
 	}
 	if InDRAM.String() != "DRAM" || InNorthBridge.String() != "NorthBridge" {

@@ -5,9 +5,11 @@ import (
 )
 
 // FaultTable summarizes what a fault plan actually did to a set of
-// runs: every injected-fault class from Results.Faults plus the
-// graceful-degradation counters of the occupancy watchdog. With a nil
-// plan every cell is zero — a quick way to confirm a run was clean.
+// runs: every injected-fault class from Results.Faults, plus the
+// Sheds and BackoffDrop columns, which print the always-zero
+// Results.DegradedSheds and DegradedDrops so the report keeps its
+// pinned bytes. With a nil plan every cell is zero — a quick way to
+// confirm a run was clean.
 func FaultTable(title string, rows []core.Results) Table {
 	t := Table{
 		Title: title,

@@ -276,10 +276,11 @@ type (
 func RunMulti(mc MultiConfig) (MultiResults, error) { return core.RunMulti(mc) }
 
 // MissTrace extracts the L2 miss line trace an op stream produces on
-// the default hierarchy, for prediction studies and table sizing.
+// the default hierarchy, paged as DefaultConfig pages it, for
+// prediction studies and table sizing.
 func MissTrace(ops []Op) []Line {
 	cfg := core.DefaultConfig()
-	return trace.L2Misses(ops, trace.Config{L1: cfg.L1, L2: cfg.L2, Seed: 1})
+	return trace.L2Misses(ops, trace.Config{L1: cfg.L1, L2: cfg.L2, LinearPages: cfg.LinearPages, Seed: cfg.Seed})
 }
 
 // SizeTableRows applies the paper's Table 2 rule to a miss trace:

@@ -29,6 +29,42 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestMissTraceMatchesTimedRun: MissTrace must page an op stream as
+// the DefaultConfig machine does, so a table sized from it is sized
+// for the physical lines the timed run misses on. A memory thread
+// that only records what it observes sees every line the run fetches
+// from memory, and those are exactly the trace's distinct lines.
+func TestMissTraceMatchesTimedRun(t *testing.T) {
+	app, err := ulmt.WorkloadByName("Mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := app.Generate(ulmt.ScaleTiny)
+	observed := map[ulmt.Line]bool{}
+	cfg := ulmt.DefaultConfig()
+	cfg.ULMT = &ulmt.AlgorithmFunc{
+		AlgName: "Observe",
+		OnLearn: func(m ulmt.Line, _ ulmt.Sink) { observed[m] = true },
+	}
+	if r := ulmt.MustSystem(cfg).Run("Mcf", ops); r.Q2Drops != 0 {
+		t.Fatalf("memory thread lost %d observations", r.Q2Drops)
+	}
+	traced := map[ulmt.Line]bool{}
+	for _, l := range ulmt.MissTrace(ops) {
+		traced[l] = true
+	}
+	missing := 0
+	for l := range traced {
+		if !observed[l] {
+			missing++
+		}
+	}
+	if missing != 0 || len(traced) != len(observed) {
+		t.Fatalf("trace has %d distinct lines, %d of them never missed on; the timed run missed on %d",
+			len(traced), missing, len(observed))
+	}
+}
+
 func TestPublicWorkloadRegistry(t *testing.T) {
 	if len(ulmt.Workloads()) != 9 {
 		t.Fatalf("workloads = %d", len(ulmt.Workloads()))
