@@ -383,17 +383,22 @@ func (p *Processor) Complete(id uint64, lvl Level) {
 	p.loadDone(id, lvl)
 }
 
-func (p *Processor) loadDone(id uint64, lvl Level) {
+// retireLoad is the bookkeeping every load completion shares, on the
+// engine clock or in a stretch: it frees a load port and marks load id
+// done in the in-flight FIFO. Load ids enter the FIFO consecutively
+// and leave it only from the head, and a load leaves only once done,
+// so id's entry sits id minus the head's id places past the head.
+func (p *Processor) retireLoad(id uint64) {
 	p.pendingLoads--
 	if id == p.lastLoadID {
 		p.lastLoadDone = true
 	}
-	for i := p.inflightHead; i < len(p.inflight); i++ {
-		if p.inflight[i].id == id {
-			p.inflight[i].done = true
-			break
-		}
-	}
+	h := p.inflightHead
+	p.inflight[h+int(id-p.inflight[h].id)].done = true
+}
+
+func (p *Processor) loadDone(id uint64, lvl Level) {
+	p.retireLoad(id)
 	switch p.blocked {
 	case blockDep:
 		if id == p.blockOnID {

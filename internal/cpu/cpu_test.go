@@ -231,6 +231,83 @@ func TestWindowLimitBounds(t *testing.T) {
 	}
 }
 
+// oooMem completes loads out of issue order: every fifth load takes
+// 1500 cycles and the others a pseudo-random 3 to 258, so younger loads
+// keep overtaking older ones while the run-ahead window fills behind a
+// slow one. After each completion it checks the in-flight FIFO against
+// the completions it has delivered.
+type oooMem struct {
+	t         *testing.T
+	eng       *sim.Engine
+	p         *Processor
+	rng       uint64
+	completed map[uint64]bool
+	overtakes int // completions of a load younger than the FIFO head
+}
+
+func (m *oooMem) Load(a mem.Addr, id uint64, done Completer) {
+	lat := sim.Cycle(1500)
+	if id%5 != 0 {
+		m.rng = m.rng*6364136223846793005 + 1442695040888963407
+		lat = 3 + sim.Cycle(m.rng>>56)
+	}
+	m.eng.After(lat, func() {
+		p := m.p
+		if p.inflight[p.inflightHead].id != id {
+			m.overtakes++
+		}
+		done.Complete(id, LevelMem)
+		m.completed[id] = true
+		head := p.inflight[p.inflightHead].id
+		for i, e := range p.inflight[p.inflightHead:] {
+			if e.id != head+uint64(i) {
+				m.t.Fatalf("in-flight ids not consecutive: %d at offset %d from head %d", e.id, i, head)
+			}
+			if e.done != m.completed[e.id] {
+				m.t.Fatalf("after completing load %d: load %d done=%v, completed=%v",
+					id, e.id, e.done, m.completed[e.id])
+			}
+		}
+	})
+}
+
+func (m *oooMem) Store(a mem.Addr, id uint64, done Completer) {
+	m.eng.After(3, func() { done.Complete(id, LevelL1) })
+}
+
+// TestOutOfOrderLoadCompletions drives loads that complete out of
+// order across a full run-ahead window and checks that each
+// completion marks exactly its own in-flight entry, wherever it sits
+// behind the FIFO head.
+func TestOutOfOrderLoadCompletions(t *testing.T) {
+	var ops []workload.Op
+	for i := 0; i < 4000; i++ {
+		if i%8 == 0 {
+			ops = append(ops, workload.Op{Kind: workload.Load, Addr: mem.Addr(i * 64)})
+		} else {
+			ops = append(ops, workload.Op{Kind: workload.Compute, Work: 1})
+		}
+	}
+	eng := sim.NewEngine()
+	m := &oooMem{t: t, eng: eng, rng: 1, completed: map[uint64]bool{}}
+	p, err := New(eng, DefaultConfig(), m, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.p = p
+	p.Start(nil)
+	eng.Run()
+	if !p.Finished() || p.pendingLoads != 0 {
+		t.Fatalf("finished=%v with %d loads pending", p.Finished(), p.pendingLoads)
+	}
+	if len(m.completed) != 500 || m.overtakes == 0 {
+		t.Fatalf("%d loads completed, %d out of order", len(m.completed), m.overtakes)
+	}
+	if p.BlockEvents[blockWindow] == 0 {
+		t.Fatal("the run-ahead window never filled")
+	}
+}
+
 func TestInvalidConfigErrors(t *testing.T) {
 	if _, err := New(sim.NewEngine(), Config{}, newFakeMem(sim.NewEngine()), nil); err == nil {
 		t.Error("invalid config must return an error")

@@ -280,16 +280,7 @@ func (p *Processor) stretchComplete(id uint64, now sim.Cycle) (step bool) {
 		p.stretchMaybeFinish(now)
 		return step
 	}
-	p.pendingLoads--
-	if id == p.lastLoadID {
-		p.lastLoadDone = true
-	}
-	for i := p.inflightHead; i < len(p.inflight); i++ {
-		if p.inflight[i].id == id {
-			p.inflight[i].done = true
-			break
-		}
-	}
+	p.retireLoad(id)
 	switch p.blocked {
 	case blockDep:
 		if id == p.blockOnID {

@@ -21,8 +21,8 @@ type Conven struct {
 	NumPref int
 
 	streams  []streamReg
-	candUp   map[mem.Line]int
-	candDown map[mem.Line]int
+	candUp   candTable
+	candDown candTable
 	winBuf   []mem.Line
 	tick     uint64
 
@@ -37,13 +37,11 @@ func NewConven(numSeq, numPref int) (*Conven, error) {
 			numSeq, numPref)
 	}
 	return &Conven{
-		NumSeq:  numSeq,
-		NumPref: numPref,
-		streams: make([]streamReg, numSeq),
-		// Sized past the trim threshold so the maps never rehash in
-		// steady state; trim clears them in place.
-		candUp:   make(map[mem.Line]int, 2*maxCand),
-		candDown: make(map[mem.Line]int, 2*maxCand),
+		NumSeq:   numSeq,
+		NumPref:  numPref,
+		streams:  make([]streamReg, numSeq),
+		candUp:   candTable{gen: 1},
+		candDown: candTable{gen: 1},
 		winBuf:   make([]mem.Line, 0, numPref),
 	}, nil
 }
@@ -87,8 +85,8 @@ func (c *Conven) OnMiss(m mem.Line) []mem.Line {
 		return c.window(m, -1)
 	}
 	if !upAdv && !downAdv {
-		c.candUp[m+1] = 1
-		c.candDown[m-1] = 1
+		c.candUp.set(m+1, 1)
+		c.candDown.set(m-1, 1)
 		c.trim()
 	}
 	return nil
@@ -111,21 +109,21 @@ func (c *Conven) window(m mem.Line, stride int64) []mem.Line {
 // m continued an existing run (so no fresh run should be seeded);
 // allocated that the run reached three misses and became a stream.
 func (c *Conven) extend(m mem.Line, stride int64) (advanced, allocated bool) {
-	cand := c.candUp
+	cand := &c.candUp
 	if stride < 0 {
-		cand = c.candDown
+		cand = &c.candDown
 	}
-	run, ok := cand[m]
-	if !ok {
+	i := cand.find(m)
+	if i < 0 {
 		return false, false
 	}
-	delete(cand, m)
-	run++
+	run := cand.slot[i].run + 1
+	cand.del(i)
 	if run >= 3 {
 		c.allocate(mem.Line(int64(m)+stride), stride)
 		return true, true
 	}
-	cand[mem.Line(int64(m)+stride)] = run
+	cand.set(mem.Line(int64(m)+stride), run)
 	return true, false
 }
 
@@ -145,19 +143,102 @@ func (c *Conven) allocate(expected mem.Line, stride int64) {
 	c.streams[victim] = streamReg{valid: true, expected: expected, stride: stride, lru: c.tick}
 }
 
-// maxCand bounds each candidate map; crossing it wipes the map.
+// maxCand bounds each candidate table; crossing it wipes the table.
 const maxCand = 64
 
 func (c *Conven) trim() {
-	// Clearing in place keeps the buckets allocated: the old
-	// make-a-new-map reset forced a fresh map to grow back through
-	// every rehash size on each wipe, which dominated the prefetcher's
-	// profile cost.
-	if len(c.candUp) > maxCand {
-		clear(c.candUp)
+	if c.candUp.n > maxCand {
+		c.candUp.wipe()
 	}
-	if len(c.candDown) > maxCand {
-		clear(c.candDown)
+	if c.candDown.n > maxCand {
+		c.candDown.wipe()
+	}
+}
+
+// candTable maps a line to the length of the detection run expecting
+// it next. A seed adds at most one entry and trim wipes past maxCand,
+// so it never holds more than maxCand+1 lines: a fixed open-addressing
+// table at candSlots >= 4*(maxCand+1) keeps linear probes short and
+// never resizes. A slot is live only while it carries the table's
+// current generation, so a wipe is one increment, not a clear.
+type candTable struct {
+	slot [candSlots]candEntry
+	gen  uint32 // live entries carry this; never 0 (see wipe)
+	n    int    // live entries
+}
+
+type candEntry struct {
+	line mem.Line
+	run  uint32
+	gen  uint32
+}
+
+const (
+	candBits  = 9
+	candSlots = 1 << candBits
+	candMask  = candSlots - 1
+)
+
+// candHome is l's first probe slot. Stream candidates are runs of
+// adjacent lines, so a Fibonacci multiply scatters them before the
+// top candBits are taken; an identity hash would pack them into one
+// long probe cluster.
+func candHome(l mem.Line) int { return int(uint64(l) * 0x9e3779b97f4a7c15 >> (64 - candBits)) }
+
+// find returns the slot holding l, or -1.
+func (t *candTable) find(l mem.Line) int {
+	for i := candHome(l); ; i = (i + 1) & candMask {
+		e := &t.slot[i]
+		if e.gen != t.gen {
+			return -1
+		}
+		if e.line == l {
+			return i
+		}
+	}
+}
+
+// set maps l to run, overwriting any entry l already has.
+func (t *candTable) set(l mem.Line, run uint32) {
+	i := candHome(l)
+	for ; ; i = (i + 1) & candMask {
+		e := &t.slot[i]
+		if e.gen != t.gen {
+			break
+		}
+		if e.line == l {
+			e.run = run
+			return
+		}
+	}
+	t.slot[i] = candEntry{line: l, run: run, gen: t.gen}
+	t.n++
+}
+
+// del empties slot i, then shifts later members of its probe cluster
+// back into the hole wherever that keeps them reachable from their
+// home slot, so find never stops early at a stale gap.
+func (t *candTable) del(i int) {
+	t.n--
+	for j := (i + 1) & candMask; t.slot[j].gen == t.gen; j = (j + 1) & candMask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if (j-candHome(t.slot[j].line))&candMask >= (j-i)&candMask {
+			t.slot[i] = t.slot[j]
+			i = j
+		}
+	}
+	t.slot[i].gen = 0
+}
+
+// wipe empties the table by retiring its generation. When the
+// generation wraps to 0, which marks dead slots, every slot is zeroed
+// and the generations restart at 1.
+func (t *candTable) wipe() {
+	t.n = 0
+	if t.gen++; t.gen == 0 {
+		t.slot = [candSlots]candEntry{}
+		t.gen = 1
 	}
 }
 

@@ -16,6 +16,10 @@ func BenchmarkEngineChain(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngineFanOut queues all b.N closure events over 1024 cycles
+// before it runs them, so the queue is b.N deep: far deeper than any
+// workload (tens of events), which makes it a measure of a full queue
+// draining, not of a run's steady state.
 func BenchmarkEngineFanOut(b *testing.B) {
 	e := NewEngine()
 	for i := 0; i < b.N; i++ {
@@ -55,12 +59,22 @@ var mixedHorizons = [16]Cycle{
 	1, 3, 2, 19, 5, 146, 1, 40, 2, 181, 3, 3000, 1, 19, 5, 120000,
 }
 
+// mixedChains is how many event chains the mixed-horizon benchmarks
+// keep in flight: about the measured peak queue depth of the
+// single-core perfbench workloads (15 events pending on
+// stream-noulmt, 32 on chase-repl, 35 on paper-matrix's tiny -exp
+// all; DESIGN.md "The event kernel").
+const mixedChains = 24
+
 // BenchmarkEngineMixedHorizon schedules through the full horizon mix,
-// including overflow spills and window advances.
+// including overflow spills and window advances, with mixedChains
+// chains in flight.
 func BenchmarkEngineMixedHorizon(b *testing.B) {
 	e := NewEngine()
 	a := &mixedActor{eng: e, limit: b.N}
-	e.Schedule(0, a, 0, Event{})
+	for i := 0; i < mixedChains; i++ {
+		e.Schedule(Cycle(i), a, 0, Event{})
+	}
 	e.Run()
 }
 
@@ -82,7 +96,9 @@ func (a *mixedActor) Fire(kind Kind, ev Event) {
 func BenchmarkEngineMixedHorizonHeap(b *testing.B) {
 	e := &heapEngine{}
 	a := &mixedHeapActor{eng: e, limit: b.N}
-	e.Schedule(0, a, 0, Event{})
+	for i := 0; i < mixedChains; i++ {
+		e.Schedule(Cycle(i), a, 0, Event{})
+	}
 	e.Run()
 }
 

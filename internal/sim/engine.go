@@ -25,10 +25,11 @@
 //     these remain only as a shim for genuinely one-off events
 //     (startup, rare retries, test scaffolding).
 //
-// Events are stored in a hierarchical time-bucket wheel (see
-// wheel.go) sized for the short bounded latencies that dominate a
-// memory-system simulation, with a spill heap for far-future events
-// such as multiprogramming timeslices.
+// Events are stored in a time-bucket wheel (see wheel.go) sized for
+// the short bounded latencies and the shallow queue depth of a
+// memory-system simulation: one recycled node pool threaded into
+// per-cycle FIFO lists, with a spill heap for far-future events such
+// as multiprogramming timeslices.
 package sim
 
 // Cycle is a point in simulated time, in 1.6 GHz main-processor
@@ -63,27 +64,6 @@ type Actor interface {
 	Fire(kind Kind, ev Event)
 }
 
-// event is the internal queue entry, laid out to fit one 64-byte
-// cache line: millions of these move through the wheel per simulated
-// second, so the struct size is a first-order cost (a fifth of a
-// run's wall clock before it was packed). seq and kind share one
-// word — seq in the high 48 bits, kind in the low 16 — which keeps
-// (at, seq) ordering a plain seqKind comparison. actor == nil marks
-// a closure event (the At/After shim), whose func() rides in p.
-type event struct {
-	at      Cycle
-	seqKind uint64
-	i0, i1  uint64
-	p       any
-	actor   Actor
-}
-
-// kindBits is the kind share of seqKind: 16 bits holds every actor's
-// enum with room to spare (the largest is < 32), leaving 48 bits of
-// scheduling sequence — ~2.8e14 events, orders of magnitude beyond
-// any feasible run.
-const kindBits = 16
-
 // Engine is the event-driven simulation kernel. The zero value is not
 // usable; construct with NewEngine.
 //
@@ -101,21 +81,24 @@ const kindBits = 16
 //     simulated work.
 type Engine struct {
 	now   Cycle
-	seq   uint64
+	seq   uint64 // orders same-cycle overflow events
 	fired uint64
 	wheel wheel
 }
 
 // NewEngine returns an engine at cycle 0 with an empty event queue.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	e := &Engine{}
+	e.wheel.pool = make([]node, 1) // the sentinel node
+	return e
+}
 
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// push time-stamps and enqueues an internal event. It takes the
-// payload piecewise and builds the entry exactly once — the queue is
-// the simulator's hottest path, and every extra 64-byte struct copy
-// between here and the bucket shows up in wall clock.
+// push enqueues an event for cycle c. Inside the window it fills a
+// pool node in place; beyond it, the event and its sequence number go
+// to the overflow heap.
 func (e *Engine) push(c Cycle, kind Kind, i0, i1 uint64, p any, a Actor) {
 	if c < e.now {
 		panic("sim: event scheduled in the past")
@@ -123,21 +106,13 @@ func (e *Engine) push(c Cycle, kind Kind, i0, i1 uint64, p any, a Actor) {
 	if c > Forever {
 		c = Forever
 	}
-	if uint64(kind) >= 1<<kindBits {
-		panic("sim: event kind out of range")
-	}
-	e.seq++
-	if sl := e.wheel.slot(c); sl != nil {
-		// Common case: the event lands inside the wheel window.
-		// Construct it in place in the bucket — no stack temporary.
-		sl.at = c
-		sl.seqKind = e.seq<<kindBits | uint64(kind)
-		sl.i0, sl.i1 = i0, i1
-		sl.p, sl.actor = p, a
+	if c-e.wheel.base < wheelSize {
+		n := e.wheel.put(c)
+		n.i0, n.i1, n.p, n.actor, n.kind = i0, i1, p, a, kind
 		return
 	}
-	ev := event{at: c, seqKind: e.seq<<kindBits | uint64(kind), i0: i0, i1: i1, p: p, actor: a}
-	e.wheel.over.push(&ev)
+	e.seq++
+	e.wheel.over.push(farEvent{at: c, seq: e.seq, n: node{i0: i0, i1: i1, p: p, actor: a, kind: kind}})
 }
 
 // saturate returns now+d, clamped to Forever on overflow. Negative
@@ -182,17 +157,25 @@ func (e *Engine) After(d Cycle, fn func()) {
 
 // Step fires the next event, advancing the clock to its cycle. It
 // reports false when the queue is empty.
+//
+// The node is read and released before the event fires: Fire may
+// schedule, and a schedule may grow the pool out from under any
+// pointer into it.
 func (e *Engine) Step() bool {
-	var ev event
-	if !e.wheel.pop(&ev) {
+	w := &e.wheel
+	i := w.pop()
+	if i == 0 {
 		return false
 	}
-	e.now = ev.at
+	n := &w.pool[i]
+	a, kind, ev := n.actor, n.kind, Event{I0: n.i0, I1: n.i1, P: n.p}
+	w.release(i)
+	e.now = w.base
 	e.fired++
-	if ev.actor != nil {
-		ev.actor.Fire(Kind(ev.seqKind&(1<<kindBits-1)), Event{I0: ev.i0, I1: ev.i1, P: ev.p})
+	if a != nil {
+		a.Fire(kind, ev)
 	} else {
-		ev.p.(func())()
+		ev.P.(func())()
 	}
 	return true
 }

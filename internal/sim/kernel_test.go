@@ -87,6 +87,41 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
+// TestKernelPoolRecycles checks the node pool's bookkeeping on the
+// chaos schedule: the pool never holds more nodes than the peak number
+// of pending events plus the sentinel, because Step frees a node before
+// its event fires and the free list hands it straight back, and once
+// the queue drains every node is back on the free list.
+func TestKernelPoolRecycles(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		e := NewEngine()
+		rng := splitmix64(seed)
+		a := &chaosActor{eng: e, rng: &rng, budget: 20000}
+		for i := 0; i < 16; i++ {
+			e.Schedule(Cycle(rng.next()%1000), a, 0, Event{I0: uint64(i)})
+		}
+		peak := e.Pending()
+		for e.Step() {
+			peak = max(peak, e.Pending())
+		}
+		w := &e.wheel
+		if n := len(w.pool); n > peak+1 {
+			t.Fatalf("seed %d: pool grew to %d nodes, peak pending %d", seed, n, peak)
+		}
+		free := 0
+		for i := w.free; i != 0; i = w.pool[i].next {
+			if n := &w.pool[i]; n.p != nil || n.actor != nil {
+				t.Fatalf("seed %d: free node %d still holds a payload", seed, i)
+			}
+			free++
+		}
+		if free != len(w.pool)-1 || w.count != 0 || w.summary != 0 {
+			t.Fatalf("seed %d: %d of %d nodes free after draining (count %d, summary %x)",
+				seed, free, len(w.pool)-1, w.count, w.summary)
+		}
+	}
+}
+
 // TestKernelEquivalenceRunUntil drives both queues through the same
 // schedule in RunUntil slices (the chaos schedule plus idle gaps) and
 // demands identical clocks, fired counts and pending counts at every
@@ -202,8 +237,11 @@ func (a *selfActor) Fire(kind Kind, ev Event) {
 }
 
 // TestZeroAllocScheduling is the allocation-regression gate for the
-// kernel: steady-state typed scheduling (including overflow-horizon
-// delays) performs zero heap allocations per event.
+// kernel: steady-state typed scheduling performs zero heap allocations
+// per event, whether the delay is short, the longest the window holds
+// (wheelSize-1, the last cycle before base+wheelSize) or far enough
+// past the window (40 laps) that every event goes through the overflow
+// heap and spills back into the wheel.
 func TestZeroAllocScheduling(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -217,9 +255,10 @@ func TestZeroAllocScheduling(t *testing.T) {
 			e := NewEngine()
 			a := &selfActor{eng: e, d: tc.d}
 			e.Schedule(0, a, 1, Event{P: a})
-			// Warm every bucket the chain will visit (a full wheel
-			// lap) so capacity growth is behind us, as it is within
-			// the steady state of a real run.
+			// Run the chain through a full window lap first, so the
+			// node pool and the overflow heap's backing array have
+			// grown to the chain's depth, as they have within the
+			// steady state of a real run.
 			for i := 0; i < wheelSize+64; i++ {
 				e.Step()
 			}

@@ -42,7 +42,7 @@ func (e *heapEngine) push(c Cycle, kind Kind, i0, i1 uint64, p any, a Actor) {
 		c = Forever
 	}
 	e.seq++
-	heap.Push(&e.ev, event{at: c, seqKind: e.seq<<kindBits | uint64(kind), i0: i0, i1: i1, p: p, actor: a})
+	heap.Push(&e.ev, refEvent{at: c, seq: e.seq, kind: kind, i0: i0, i1: i1, p: p, actor: a})
 }
 
 func (e *heapEngine) after(d Cycle) Cycle {
@@ -69,11 +69,11 @@ func (e *heapEngine) Step() bool {
 	if len(e.ev) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.ev).(event)
+	ev := heap.Pop(&e.ev).(refEvent)
 	e.now = ev.at
 	e.fired++
 	if ev.actor != nil {
-		ev.actor.Fire(Kind(ev.seqKind&(1<<kindBits-1)), Event{I0: ev.i0, I1: ev.i1, P: ev.p})
+		ev.actor.Fire(ev.kind, Event{I0: ev.i0, I1: ev.i1, P: ev.p})
 	} else {
 		ev.p.(func())()
 	}
@@ -105,24 +105,33 @@ func (e *heapEngine) RunUntil(deadline Cycle) {
 	}
 }
 
-type eventHeap []event
+// refEvent is one reference-queue entry, with the time and sequence
+// number the wheel leaves implicit.
+type refEvent struct {
+	at     Cycle
+	seq    uint64
+	kind   Kind
+	i0, i1 uint64
+	p      any
+	actor  Actor
+}
+
+type eventHeap []refEvent
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
-	// seq occupies seqKind's high bits, so for equal at this orders
-	// by scheduling sequence.
-	return h[i].seqKind < h[j].seqKind
+	return h[i].seq < h[j].seq
 }
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
-	old[n-1] = event{}
+	old[n-1] = refEvent{}
 	*h = old[:n-1]
 	return e
 }

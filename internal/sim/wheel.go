@@ -2,30 +2,47 @@ package sim
 
 import "math/bits"
 
-// The wheel exploits the latency profile of a memory-system
-// simulator: almost every delay is a short bounded latency (cache
-// round trips of a few cycles, bus slots of tens, DRAM accesses of a
-// couple hundred, ULMT sessions of a few thousand), so a window of
-// wheelSize cycles ahead of the clock catches essentially all
-// traffic. Only rare far-future events — multiprogramming timeslices,
-// fault schedules — spill to the overflow heap.
+// The wheel is sized to the traffic a memory-system simulation
+// carries: almost every delay is a short bounded latency (cache round
+// trips of a few cycles, bus slots of tens, DRAM accesses of a couple
+// hundred), and few events are pending at once (DESIGN.md "The event
+// kernel" gives the measured depth and delay histograms). A window of
+// wheelSize cycles ahead of the clock catches essentially all of it;
+// rare far-future events (multiprogramming timeslices, fault
+// schedules, the sharded table's lagging deposits) spill to the
+// overflow heap.
 const (
-	wheelBits = 12
-	wheelSize = 1 << wheelBits // 4096-cycle window
+	wheelBits = 11
+	wheelSize = 1 << wheelBits // 2048-cycle window
 	wheelMask = wheelSize - 1
 )
 
-// bucket holds the events of exactly one cycle, in scheduling order.
-// head indexes the next event to fire; the backing array is reused
-// across window laps, so a warmed-up wheel appends without growing.
+// node is one pending wheel event. Its cycle is implied by the bucket
+// whose list holds it, and its place in that list gives same-cycle
+// FIFO order, so a node carries neither a time nor a sequence number:
+// only the payload and next, the pool index of the following node of
+// the same cycle (or, once freed, of the free list). Index 0 is a
+// sentinel meaning "none", so a zero bucket is an empty one.
+type node struct {
+	i0, i1 uint64
+	p      any
+	actor  Actor
+	kind   Kind
+	next   int32
+}
+
+// bucket is the FIFO list of one cycle's events: the pool indices of
+// its first and last nodes, both 0 when the cycle has none.
 type bucket struct {
-	ev   []event
-	head int
+	head, tail int32
 }
 
 // wheel is a single-level time wheel over [base, base+wheelSize) with
 // a two-level occupancy bitmap and a spill heap for events at or
-// beyond base+wheelSize.
+// beyond base+wheelSize. Every wheel event lives in one node pool,
+// threaded into per-cycle lists; a freed node goes on a LIFO free
+// list and is the next one reused, so the pool grows only to the peak
+// number of wheel-resident events and then stops allocating.
 //
 // Invariants:
 //
@@ -39,14 +56,16 @@ type bucket struct {
 //     spilling before any event of the new window fires, which is
 //     what keeps same-cycle FIFO exact across the spill boundary: a
 //     spilled event can never share a cycle with one inserted under
-//     the old window, and events inserted after the spill carry
-//     larger seq and append behind it.
+//     the old window, and events inserted after the spill append
+//     behind it.
 type wheel struct {
 	base    Cycle
-	count   int // events resident in buckets
+	count   int   // events resident in buckets
+	free    int32 // first free pool node, 0 when none
 	summary uint64
 	words   [wheelSize / 64]uint64
 	buckets [wheelSize]bucket
+	pool    []node // pool[0] is the sentinel
 	over    overflowHeap
 }
 
@@ -64,28 +83,41 @@ func (w *wheel) clear(idx int) {
 	}
 }
 
-// slot reserves the next entry of at's bucket and returns it for
-// in-place construction — the engine writes event fields straight
-// into the bucket, skipping the stack-temporary copy a push-by-value
-// would cost on every scheduled event. Returns nil when at lies
-// beyond the window; the caller spills to the overflow heap. The
-// caller must assign every field: a reused slot still holds the stale
-// scalars of the event that last occupied it (pop only clears the
-// pointer-shaped fields).
-func (w *wheel) slot(at Cycle) *event {
-	if at-w.base >= wheelSize {
-		return nil
+// put appends a node to the list of cycle at, which must lie inside
+// the window, and returns it for the caller to fill. The node's next
+// is already 0; every other field still holds whatever the node's
+// last occupant left there, so the caller must assign all of them.
+func (w *wheel) put(at Cycle) *node {
+	i := w.free
+	if i != 0 {
+		w.free = w.pool[i].next
+	} else {
+		w.pool = append(w.pool, node{})
+		i = int32(len(w.pool) - 1)
 	}
 	idx := int(at) & wheelMask
 	b := &w.buckets[idx]
-	if n := len(b.ev); n < cap(b.ev) {
-		b.ev = b.ev[:n+1]
+	if b.tail == 0 {
+		b.head = i
+		w.mark(idx)
 	} else {
-		b.ev = append(b.ev, event{})
+		w.pool[b.tail].next = i
 	}
-	w.mark(idx)
+	b.tail = i
 	w.count++
-	return &b.ev[len(b.ev)-1]
+	n := &w.pool[i]
+	n.next = 0
+	return n
+}
+
+// release returns node i to the free list. Only its pointer-shaped
+// fields are cleared, so the GC keeps nothing alive through a free
+// node; put's caller overwrites the scalars on reuse.
+func (w *wheel) release(i int32) {
+	n := &w.pool[i]
+	n.p, n.actor = nil, nil
+	n.next = w.free
+	w.free = i
 }
 
 // first returns the bucket index of the earliest wheel event, or -1
@@ -146,27 +178,23 @@ func (w *wheel) peekAt() (Cycle, bool) {
 // event that now falls inside [t, t+wheelSize). Callers must
 // guarantee no pending event precedes t. Spilled events pop from the
 // overflow heap in (at, seq) order, so same-cycle groups land in
-// their buckets already in FIFO order.
+// their lists already in FIFO order.
 func (w *wheel) advanceTo(t Cycle) {
 	w.base = t
 	limit := t + wheelSize
 	for w.over.len() > 0 && w.over.minAt() < limit {
-		ev := w.over.pop()
-		idx := int(ev.at) & wheelMask
-		b := &w.buckets[idx]
-		b.ev = append(b.ev, ev)
-		w.mark(idx)
-		w.count++
+		f := w.over.pop()
+		*w.put(f.at) = f.n
 	}
 }
 
-// pop removes the earliest event into dst, advancing the window as
-// needed. Writing through the caller's pointer (a stack slot reused
-// across the run loop) moves each entry exactly once on the way out.
-func (w *wheel) pop(dst *event) bool {
+// pop unlinks the earliest event, moving the window start to its
+// cycle, and returns its pool index, or 0 when nothing is pending.
+// The node stays allocated: the caller reads it, then releases it.
+func (w *wheel) pop() int32 {
 	if w.count == 0 {
 		if w.over.len() == 0 {
-			return false
+			return 0
 		}
 		// Everything pending is far-future: jump the window to it.
 		w.advanceTo(w.over.minAt())
@@ -180,28 +208,29 @@ func (w *wheel) pop(dst *event) bool {
 		w.advanceTo(t)
 	}
 	b := &w.buckets[idx]
-	e := &b.ev[b.head]
-	*dst = *e
-	// Release only the pointer-shaped fields: that is all the GC cares
-	// about, and slot() overwrites every field on reuse, so clearing
-	// the scalars too would just be extra stores on the hottest loop.
-	e.p, e.actor = nil, nil
-	b.head++
-	if b.head == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.head = 0
+	i := b.head
+	if b.head = w.pool[i].next; b.head == 0 {
+		b.tail = 0
 		w.clear(idx)
 	}
 	w.count--
-	return true
+	return i
+}
+
+// farEvent is an overflow-heap entry: a node's payload plus the cycle
+// and scheduling sequence that a bucket list would otherwise imply.
+// Far-future events are rare, so its size does not matter.
+type farEvent struct {
+	at  Cycle
+	seq uint64
+	n   node
 }
 
 // overflowHeap is a hand-rolled binary min-heap on (at, seq). Unlike
-// container/heap it never boxes: push and pop move event values
-// within one backing slice. seqKind compares as seq for equal at,
-// since seq occupies its high bits.
+// container/heap it never boxes: push and pop move values within one
+// backing slice.
 type overflowHeap struct {
-	ev []event
+	ev []farEvent
 }
 
 func (h *overflowHeap) len() int     { return len(h.ev) }
@@ -212,11 +241,11 @@ func (h *overflowHeap) less(i, j int) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seqKind < b.seqKind
+	return a.seq < b.seq
 }
 
-func (h *overflowHeap) push(ev *event) {
-	h.ev = append(h.ev, *ev)
+func (h *overflowHeap) push(f farEvent) {
+	h.ev = append(h.ev, f)
 	i := len(h.ev) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -228,11 +257,11 @@ func (h *overflowHeap) push(ev *event) {
 	}
 }
 
-func (h *overflowHeap) pop() event {
+func (h *overflowHeap) pop() farEvent {
 	top := h.ev[0]
 	n := len(h.ev) - 1
 	h.ev[0] = h.ev[n]
-	h.ev[n] = event{} // release payload references
+	h.ev[n] = farEvent{} // release payload references
 	h.ev = h.ev[:n]
 	i := 0
 	for {
